@@ -15,6 +15,25 @@ fn dataset() -> hpcpower_ml::Dataset {
     build_ml_dataset(&simulate(SimConfig::emmy_small(77)))
 }
 
+/// The same jobs with each walltime (whole minutes) nudged by a distinct
+/// fraction of a minute, so no user repeats a (nodes, walltime) pair:
+/// every KNN index cell holds one row, the index's worst case.
+fn distinct_dataset(data: &hpcpower_ml::Dataset) -> hpcpower_ml::Dataset {
+    let mut out = hpcpower_ml::Dataset::default();
+    for i in 0..data.len() {
+        let (user, nodes, walltime) = data.features.row(i);
+        out.push(user, nodes, walltime + i as f64 / data.len() as f64, data.targets[i]);
+    }
+    let pairs: std::collections::HashSet<(u32, u64, u64)> = (0..out.len())
+        .map(|i| {
+            let (user, nodes, walltime) = out.features.row(i);
+            (user, nodes.to_bits(), walltime.to_bits())
+        })
+        .collect();
+    assert_eq!(pairs.len(), out.len(), "a (user, nodes, walltime) triple repeats");
+    out
+}
+
 fn bench_training(c: &mut Criterion) {
     let data = dataset();
     let mut group = c.benchmark_group("train");
@@ -36,6 +55,7 @@ fn bench_inference(c: &mut Criterion) {
     let tree = DecisionTree::fit(&data, TreeConfig::default()).unwrap();
     let knn_cat = Knn::fit(&data, KnnConfig::default()).unwrap();
     let knn_num = Knn::fit(&data, KnnConfig::paper()).unwrap();
+    let knn_num_distinct = Knn::fit(&distinct_dataset(&data), KnnConfig::paper()).unwrap();
     let flda = Flda::fit(&data, FldaConfig::default()).unwrap();
     let queries: Vec<(u32, f64, f64)> = (0..256)
         .map(|i| ((i % 40) as u32, ((i % 16) + 1) as f64, (60 * (i % 12 + 1)) as f64))
@@ -65,6 +85,15 @@ fn bench_inference(c: &mut Criterion) {
             let mut acc = 0.0;
             for &(u, n, w) in &queries {
                 acc += knn_num.predict(u, n, w);
+            }
+            black_box(acc)
+        })
+    });
+    group.bench_function("knn_numeric_distinct", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for &(u, n, w) in &queries {
+                acc += knn_num_distinct.predict(u, n, w);
             }
             black_box(acc)
         })

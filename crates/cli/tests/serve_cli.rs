@@ -185,13 +185,20 @@ fn serve_flag_exposes_live_endpoints_and_leaves_dataset_bytes_identical() {
     ));
     let addr = wait_addr(&addr_file, guard.child());
 
-    // The run holds after finishing (--serve-hold), so by the time the
-    // window has samples the final state is on the endpoints.
+    // The run holds after finishing (--serve-hold), but the series appear
+    // in separate passes (the power-domain gauges after the placement
+    // counters), so poll until every series asserted below is present.
+    let expected = [
+        "sim_jobs_placed_total",
+        "hpcpower_build_info{",
+        "sim_cluster_power_watts",
+        "obs_sampler_ticks_total",
+    ];
     let deadline = Instant::now() + Duration::from_secs(30);
     let body = loop {
         let (status, _, body) = http_get(addr, "/metrics").expect("GET /metrics");
         assert_eq!(status, 200);
-        if body.contains("sim_jobs_placed_total") || Instant::now() >= deadline {
+        if expected.iter().all(|s| body.contains(s)) || Instant::now() >= deadline {
             break body;
         }
         std::thread::sleep(Duration::from_millis(25));

@@ -11,11 +11,14 @@
 //!    + ((w₁ - w₂) / σ_walltime)²
 //! ```
 //!
-//! with numeric features standardized by their training deviations. A
-//! per-user index accelerates the common case where a user's own history
-//! already supplies `k` neighbours.
+//! with numeric features standardized by their training deviations.
+//!
+//! Users resubmit the same configurations again and again, so the index
+//! is two-level: per-user buckets, each holding the user's distinct
+//! bit-exact `(nodes, walltime)` *cells*. A query computes d² once per
+//! cell, not once per training row.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -65,21 +68,31 @@ impl KnnConfig {
     }
 }
 
-/// A fitted KNN model (stores the training set).
+/// A fitted KNN model: the training targets plus the cell index.
+///
+/// The index is flat (CSR-style offsets, no per-bucket or per-cell
+/// allocation). Bucket `b` belongs to user `bucket_users[b]` and owns
+/// cells `bucket_cells[b]..bucket_cells[b + 1]`; cell `c` stores its
+/// feature pair once in `cell_features[c]` and its members in
+/// `members[cell_members[c]..cell_members[c + 1]]`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Knn {
-    users: Vec<u32>,
-    nodes: Vec<f64>,
-    walltimes: Vec<f64>,
     targets: Vec<f64>,
     node_scale: f64,
     walltime_scale: f64,
     user_scale: f64,
-    /// Per-user buckets sorted by user id; each bucket holds ascending
-    /// training indices. Sorted order is what lets the numeric query
-    /// expand outward from the query user and stop once the user-distance
-    /// term alone exceeds the current k-th best.
-    user_index: Vec<(u32, Vec<u32>)>,
+    /// Distinct training user ids, ascending. Sorted order is what lets
+    /// the numeric query expand outward from the query user and stop
+    /// once the user-distance term alone exceeds the current k-th best.
+    bucket_users: Vec<u32>,
+    bucket_cells: Vec<u32>,
+    /// `(nodes, walltime)` of each cell, shared bit for bit by its rows.
+    cell_features: Vec<(f64, f64)>,
+    cell_members: Vec<u32>,
+    /// Each cell's `k` lowest training indices (fewer if the cell is
+    /// smaller), ascending. Higher indices can never be neighbours: they
+    /// tie on d² with, and lose the index tie-break to, `k` kept members.
+    members: Vec<u32>,
     config: KnnConfig,
 }
 
@@ -196,31 +209,36 @@ impl Knn {
         if config.k == 0 {
             return Err(MlError::InvalidConfig("k must be positive"));
         }
-        let mut buckets: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for (i, &u) in data.features.users.iter().enumerate() {
-            buckets.entry(u).or_default().push(i as u32);
-        }
-        Ok(Self {
-            users: data.features.users.clone(),
-            nodes: data.features.nodes.clone(),
-            walltimes: data.features.walltimes.clone(),
+        let f = &data.features;
+        // Group rows by (user, cell) with ascending indices inside each
+        // group; the index in the key makes the unstable sort deterministic.
+        let mut rows: Vec<(u32, u64, u64, u32)> = (0..data.len())
+            .map(|i| (f.users[i], f.nodes[i].to_bits(), f.walltimes[i].to_bits(), i as u32))
+            .collect();
+        rows.sort_unstable();
+        let mut knn = Self {
             targets: data.targets.clone(),
-            node_scale: std_scale(&data.features.nodes),
-            walltime_scale: std_scale(&data.features.walltimes),
-            user_scale: std_scale(
-                &data.features.users.iter().map(|&u| u as f64).collect::<Vec<f64>>(),
-            ),
-            user_index: buckets.into_iter().collect(),
+            node_scale: std_scale(&f.nodes),
+            walltime_scale: std_scale(&f.walltimes),
+            user_scale: std_scale(&f.users.iter().map(|&u| u as f64).collect::<Vec<f64>>()),
+            bucket_users: Vec::new(),
+            bucket_cells: vec![0],
+            cell_features: Vec::new(),
+            cell_members: vec![0],
+            members: Vec::new(),
             config,
-        })
-    }
-
-    /// The bucket of training indices for one user, if any.
-    fn user_bucket(&self, user: u32) -> Option<&[u32]> {
-        self.user_index
-            .binary_search_by_key(&user, |(uid, _)| *uid)
-            .ok()
-            .map(|pos| self.user_index[pos].1.as_slice())
+        };
+        for bucket in rows.chunk_by(|a, b| a.0 == b.0) {
+            knn.bucket_users.push(bucket[0].0);
+            for cell in bucket.chunk_by(|a, b| (a.1, a.2) == (b.1, b.2)) {
+                let (_, nodes, walltime, _) = cell[0];
+                knn.cell_features.push((f64::from_bits(nodes), f64::from_bits(walltime)));
+                knn.members.extend(cell.iter().take(config.k).map(|r| r.3));
+                knn.cell_members.push(knn.members.len() as u32);
+            }
+            knn.bucket_cells.push(knn.cell_features.len() as u32);
+        }
+        Ok(knn)
     }
 
     /// The hyper-parameters in use.
@@ -228,11 +246,36 @@ impl Knn {
         self.config
     }
 
-    #[inline]
-    fn numeric_dist2(&self, i: usize, nodes: f64, walltime: f64) -> f64 {
-        let dn = (self.nodes[i] - nodes) / self.node_scale;
-        let dw = (self.walltimes[i] - walltime) / self.walltime_scale;
-        dn * dn + dw * dw
+    /// Pushes every cell of bucket `b` with `extra` added to its numeric
+    /// d², and returns the number of cells (distance evaluations).
+    ///
+    /// All members of a cell share d² bit for bit, so one quick-reject
+    /// covers the whole cell. For the own-user bucket `extra` is `0.0`,
+    /// which leaves the numeric d² (never `-0.0`) bit-identical.
+    fn scan_bucket(
+        &self,
+        top: &mut TopK,
+        b: usize,
+        extra: f64,
+        tie_group: u64,
+        nodes: f64,
+        walltime: f64,
+    ) -> u64 {
+        let cells = range(&self.bucket_cells, b);
+        let scanned = cells.len() as u64;
+        for c in cells {
+            let (cn, cw) = self.cell_features[c];
+            let dn = (cn - nodes) / self.node_scale;
+            let dw = (cw - walltime) / self.walltime_scale;
+            let d2 = dn * dn + dw * dw + extra;
+            if d2 > top.bound {
+                continue;
+            }
+            for &i in &self.members[range(&self.cell_members, c)] {
+                top.push(d2, tie_group | i as u64, i);
+            }
+        }
+        scanned
     }
 
     /// Indices and squared distances of the k nearest training points.
@@ -248,27 +291,18 @@ impl Knn {
         }
         let mut top = TopK::new(self.config.k);
         let mut scanned = 0u64;
-        if let Some(own) = self.user_bucket(user) {
-            scanned += own.len() as u64;
-            for &i in own {
-                top.push(self.numeric_dist2(i as usize, nodes, walltime), TIE_OWN | i as u64, i);
-            }
+        let own = self.bucket_users.binary_search(&user).ok();
+        if let Some(b) = own {
+            scanned += self.scan_bucket(&mut top, b, 0.0, TIE_OWN, nodes, walltime);
         }
         // If the user's own history already yields k neighbours closer
         // than any possible cross-user point, stop early.
         let need_global =
             !top.has_k() || top.worst_d2() > self.config.user_mismatch_penalty;
         if need_global {
-            for (uid, bucket) in &self.user_index {
-                if *uid == user {
-                    continue;
-                }
-                scanned += bucket.len() as u64;
-                for &i in bucket {
-                    let d2 = self.numeric_dist2(i as usize, nodes, walltime)
-                        + self.config.user_mismatch_penalty;
-                    top.push(d2, TIE_GLOBAL | i as u64, i);
-                }
+            let penalty = self.config.user_mismatch_penalty;
+            for b in (0..self.bucket_users.len()).filter(|&b| Some(b) != own) {
+                scanned += self.scan_bucket(&mut top, b, penalty, TIE_GLOBAL, nodes, walltime);
             }
         }
         record_query_telemetry(scanned);
@@ -286,57 +320,51 @@ impl Knn {
     fn neighbours_numeric(&self, user: u32, nodes: f64, walltime: f64) -> Vec<(f64, usize)> {
         let mut top = TopK::new(self.config.k);
         let mut scanned = 0u64;
-        let mut scan_bucket = |top: &mut TopK, bucket_pos: usize| {
-            let (uid, bucket) = &self.user_index[bucket_pos];
+        let mut try_bucket = |top: &mut TopK, b: usize| {
             // `du²` alone is a lower bound on every d² in this bucket.
-            let du = (*uid as f64 - user as f64) / self.user_scale;
+            let du = (self.bucket_users[b] as f64 - user as f64) / self.user_scale;
             if top.has_k() && du * du > top.worst_d2() {
                 return false;
             }
-            scanned += bucket.len() as u64;
-            for &i in bucket {
-                let d2 = self.numeric_dist2(i as usize, nodes, walltime) + du * du;
-                top.push(d2, i as u64, i);
-            }
+            scanned += self.scan_bucket(top, b, du * du, 0, nodes, walltime);
             true
         };
         // Two-pointer expansion from the query user's position, nearest
         // bucket first. Result order is scan-order independent (the tie
         // key is the global training index), so the interleave only
         // affects how quickly the pruning bound tightens.
-        let pos = self.user_index.partition_point(|(uid, _)| *uid < user);
+        let users = &self.bucket_users;
+        let pos = users.partition_point(|&uid| uid < user);
         let mut left = pos; // next left bucket is `left - 1`
         let mut right = pos; // next right bucket is `right`
         loop {
-            let left_du = (left > 0)
-                .then(|| user as f64 - self.user_index[left - 1].0 as f64);
-            let right_du = (right < self.user_index.len())
-                .then(|| self.user_index[right].0 as f64 - user as f64);
+            let left_du = (left > 0).then(|| user as f64 - users[left - 1] as f64);
+            let right_du = (right < users.len()).then(|| users[right] as f64 - user as f64);
             match (left_du, right_du) {
                 (None, None) => break,
                 (Some(_), None) => {
-                    if !scan_bucket(&mut top, left - 1) {
+                    if !try_bucket(&mut top, left - 1) {
                         break;
                     }
                     left -= 1;
                 }
                 (None, Some(_)) => {
-                    if !scan_bucket(&mut top, right) {
+                    if !try_bucket(&mut top, right) {
                         break;
                     }
                     right += 1;
                 }
                 (Some(l), Some(r)) => {
                     if l <= r {
-                        if !scan_bucket(&mut top, left - 1) {
+                        if !try_bucket(&mut top, left - 1) {
                             // The right side may still hold closer buckets.
                             left = 0;
                             continue;
                         }
                         left -= 1;
                     } else {
-                        if !scan_bucket(&mut top, right) {
-                            right = self.user_index.len();
+                        if !try_bucket(&mut top, right) {
+                            right = users.len();
                             continue;
                         }
                         right += 1;
@@ -349,7 +377,15 @@ impl Knn {
     }
 }
 
+/// Entry `i` of a CSR offset array: `offsets[i]..offsets[i + 1]`.
+#[inline]
+fn range(offsets: &[u32], i: usize) -> Range<usize> {
+    offsets[i] as usize..offsets[i + 1] as usize
+}
+
 /// Records per-query KNN telemetry; free when the registry is disabled.
+/// `ml.knn.candidates_scanned` counts distance evaluations: one per
+/// feature cell visited, however many training rows the cell holds.
 #[inline]
 fn record_query_telemetry(scanned: u64) {
     if hpcpower_obs::enabled() {
@@ -473,16 +509,25 @@ mod tests {
     }
 
     /// The legacy brute-force neighbour search, kept verbatim as the
-    /// oracle for the bucketed/top-k implementation: own-user scan, gated
-    /// global scan (categorical) or full scan (numeric), maintaining the
-    /// k best with a stable re-sort on every admission.
+    /// oracle for the cell index + top-k implementation: own-user scan,
+    /// gated global scan (categorical) or full scan (numeric), maintaining
+    /// the k best with a stable re-sort on every admission. It reads the
+    /// per-row features from the training `Dataset`, which `Knn` does
+    /// not keep.
     fn brute_force_neighbours(
+        data: &Dataset,
         knn: &Knn,
         user: u32,
         nodes: f64,
         walltime: f64,
     ) -> Vec<(f64, usize)> {
         let k = knn.config.k;
+        let f = &data.features;
+        let numeric_dist2 = |i: usize| {
+            let dn = (f.nodes[i] - nodes) / knn.node_scale;
+            let dw = (f.walltimes[i] - walltime) / knn.walltime_scale;
+            dn * dn + dw * dw
+        };
         let mut best: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
         let push = |d2: f64, i: usize, best: &mut Vec<(f64, usize)>| {
             if best.len() < k {
@@ -494,28 +539,25 @@ mod tests {
             }
         };
         if knn.config.numeric_user {
-            for i in 0..knn.targets.len() {
-                let du = (knn.users[i] as f64 - user as f64) / knn.user_scale;
-                let d2 = knn.numeric_dist2(i, nodes, walltime) + du * du;
-                push(d2, i, &mut best);
+            for i in 0..data.len() {
+                let du = (f.users[i] as f64 - user as f64) / knn.user_scale;
+                push(numeric_dist2(i) + du * du, i, &mut best);
             }
             return best;
         }
-        for i in 0..knn.targets.len() {
-            if knn.users[i] == user {
-                push(knn.numeric_dist2(i, nodes, walltime), i, &mut best);
+        for i in 0..data.len() {
+            if f.users[i] == user {
+                push(numeric_dist2(i), i, &mut best);
             }
         }
         let need_global =
             best.len() < k || best[best.len() - 1].0 > knn.config.user_mismatch_penalty;
         if need_global {
-            for i in 0..knn.targets.len() {
-                if knn.users[i] == user {
+            for i in 0..data.len() {
+                if f.users[i] == user {
                     continue;
                 }
-                let d2 =
-                    knn.numeric_dist2(i, nodes, walltime) + knn.config.user_mismatch_penalty;
-                push(d2, i, &mut best);
+                push(numeric_dist2(i) + knn.config.user_mismatch_penalty, i, &mut best);
             }
         }
         best
@@ -533,54 +575,71 @@ mod tests {
         }
     }
 
+    /// Random datasets with heavy duplicate features (to force distance
+    /// ties), in two shapes: cells of a few rows each, and one
+    /// (user 0, 1 node, 60 min) cell holding every other row, i.e. far
+    /// more than k rows whose indices interleave with other cells'.
+    fn oracle_datasets(seed: u64, rng: &mut Lcg) -> [Dataset; 2] {
+        let mut small_cells = Dataset::default();
+        let n = 150 + (seed as usize % 50);
+        for _ in 0..n {
+            let user = (rng.next_u64() % 12) as u32 * 3; // sparse ids
+            let nodes = [1.0, 2.0, 4.0, 8.0][rng.next_u64() as usize % 4];
+            let walltime = [60.0, 120.0, 240.0][rng.next_u64() as usize % 3];
+            let target = 50.0 + 150.0 * rng.uniform();
+            small_cells.push(user, nodes, walltime, target);
+        }
+        let mut big_cell = Dataset::default();
+        for i in 0..160 {
+            let target = 50.0 + 150.0 * rng.uniform();
+            if i % 2 == 0 {
+                big_cell.push(0, 1.0, 60.0, target);
+            } else {
+                let user = (rng.next_u64() % 4) as u32 * 3;
+                let nodes = [1.0, 2.0, 8.0][rng.next_u64() as usize % 3];
+                big_cell.push(user, nodes, 60.0, target);
+            }
+        }
+        [small_cells, big_cell]
+    }
+
     #[test]
     fn bucketed_topk_matches_brute_force_exactly() {
-        // Random datasets with heavy duplicate features (to force distance
-        // ties), queried in both modes at several k — the bucketed index
-        // plus select_nth top-k must reproduce the brute-force neighbour
-        // list exactly: same indices, same order, same d² bits.
+        // Both query modes at several k: the cell index plus select_nth
+        // top-k must reproduce the brute-force neighbour list exactly:
+        // same indices, same order, same d² bits.
         for seed in [1u64, 7, 42] {
             let mut rng = Lcg(seed);
-            let mut d = Dataset::default();
-            let n = 150 + (seed as usize % 50);
-            for _ in 0..n {
-                let user = (rng.next_u64() % 12) as u32 * 3; // sparse ids
-                let nodes = [1.0, 2.0, 4.0, 8.0][rng.next_u64() as usize % 4];
-                let walltime = [60.0, 120.0, 240.0][rng.next_u64() as usize % 3];
-                let target = 50.0 + 150.0 * rng.uniform();
-                d.push(user, nodes, walltime, target);
-            }
-            for numeric_user in [false, true] {
-                for k in [1usize, 3, 5, 17] {
-                    let knn = Knn::fit(
-                        &d,
-                        KnnConfig {
+            for (shape, d) in oracle_datasets(seed, &mut rng).iter().enumerate() {
+                for numeric_user in [false, true] {
+                    for k in [1usize, 3, 5, 17] {
+                        let config = KnnConfig {
                             k,
                             numeric_user,
                             ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                    for q in 0..40 {
-                        // Mix of seen, unseen, and boundary user ids.
-                        let user = match q % 4 {
-                            0 => (rng.next_u64() % 12) as u32 * 3,
-                            1 => (rng.next_u64() % 40) as u32,
-                            2 => 0,
-                            _ => 1000,
                         };
-                        let nodes = [1.0, 3.0, 8.0][rng.next_u64() as usize % 3];
-                        let walltime = [60.0, 120.0, 500.0][rng.next_u64() as usize % 3];
-                        let fast = knn.neighbours(user, nodes, walltime);
-                        let brute = brute_force_neighbours(&knn, user, nodes, walltime);
-                        assert_eq!(fast.len(), brute.len(), "seed {seed} k {k}");
-                        for (a, b) in fast.iter().zip(&brute) {
-                            assert_eq!(a.1, b.1, "index: seed {seed} numeric {numeric_user} k {k} user {user}");
-                            assert_eq!(
-                                a.0.to_bits(),
-                                b.0.to_bits(),
-                                "d2 bits: seed {seed} numeric {numeric_user} k {k} user {user}"
-                            );
+                        let knn = Knn::fit(d, config).unwrap();
+                        if shape == 1 {
+                            assert!(knn.members.len() < d.len(), "big cell truncated to k");
+                        }
+                        for q in 0..40 {
+                            // Mix of seen, unseen, and boundary user ids.
+                            let user = match q % 4 {
+                                0 => (rng.next_u64() % 12) as u32 * 3,
+                                1 => (rng.next_u64() % 40) as u32,
+                                2 => 0,
+                                _ => 1000,
+                            };
+                            let nodes = [1.0, 3.0, 8.0][rng.next_u64() as usize % 3];
+                            let walltime = [60.0, 120.0, 500.0][rng.next_u64() as usize % 3];
+                            let fast = knn.neighbours(user, nodes, walltime);
+                            let brute = brute_force_neighbours(d, &knn, user, nodes, walltime);
+                            let at = format!("seed {seed} shape {shape} {config:?} user {user}");
+                            assert_eq!(fast.len(), brute.len(), "{at}");
+                            for (a, b) in fast.iter().zip(&brute) {
+                                assert_eq!(a.1, b.1, "index: {at}");
+                                assert_eq!(a.0.to_bits(), b.0.to_bits(), "d2 bits: {at}");
+                            }
                         }
                     }
                 }

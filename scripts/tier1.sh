@@ -168,8 +168,11 @@ echo "alerts smoke: exit codes 4/0 as specified"
 
 # Criterion pipeline bench, quick mode: one shortened pass over the
 # end-to-end benches so panics and API rot surface in CI without the
-# full sampling budget. Timings printed here are not gate inputs.
+# full sampling budget. Timings printed here are not gate inputs. The
+# model benches ride along, including the KNN index's no-repeat worst
+# case (predict_256/knn_numeric_distinct).
 CRITERION_QUICK=1 cargo bench -q -p hpcpower-bench --bench pipeline
+CRITERION_QUICK=1 cargo bench -q -p hpcpower-bench --bench models
 
 # Perf-regression gate, warn-only: the committed history's runs come
 # from different machines, so a slower CI box must not fail the build —

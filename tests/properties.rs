@@ -149,6 +149,47 @@ proptest! {
         prop_assert!(p >= lo - 1e-9 && p <= hi + 1e-9, "knn {} outside [{}, {}]", p, lo, hi);
     }
 
+    /// `Knn::predict` equals a brute-force weighted KNN bit for bit, in
+    /// both distance modes, on datasets where one (user, nodes, walltime)
+    /// cell holds far more than `k` rows (every other training index) and
+    /// on datasets where no feature pair repeats.
+    #[test]
+    fn knn_predict_matches_brute_force_bitwise(
+        rows in prop::collection::vec((0u32..6, 1u32..9, 1u64..7, 20f64..200.0), 80..200),
+        heavy in (0u32..6, 1u32..9, 1u64..7),
+        queries in prop::collection::vec((0u32..9, 1u32..17, 1u64..9), 4..8),
+    ) {
+        let mut heavy_cell = hpcpower_ml::data::Dataset::default();
+        let mut distinct = hpcpower_ml::data::Dataset::default();
+        for (i, &(u, n, w, t)) in rows.iter().enumerate() {
+            if i % 2 == 0 {
+                heavy_cell.push(heavy.0, heavy.1 as f64, (heavy.2 * 60) as f64, t);
+            } else {
+                heavy_cell.push(u, n as f64, (w * 60) as f64, t);
+            }
+            // A walltime unique to the row: no (nodes, walltime) repeats.
+            distinct.push(u, n as f64, (60 * (i + 1)) as f64, t);
+        }
+        let heavy_query = (heavy.0, heavy.1, heavy.2);
+        for data in [&heavy_cell, &distinct] {
+            for base in [KnnConfig::default(), KnnConfig::paper()] {
+                for k in [1usize, 5, 17] {
+                    let cfg = KnnConfig { k, ..base };
+                    let knn = Knn::fit(data, cfg).unwrap();
+                    for &(qu, qn, qw) in queries.iter().chain([&heavy_query]) {
+                        let (qn, qw) = (qn as f64, (qw * 60) as f64);
+                        let fast = knn.predict(qu, qn, qw);
+                        let brute = brute_force_knn(data, cfg, qu, qn, qw);
+                        prop_assert_eq!(
+                            fast.to_bits(), brute.to_bits(),
+                            "{:?} query ({}, {}, {}): {} vs {}", cfg, qu, qn, qw, fast, brute
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// The power-aware scheduler never exceeds its budget and never
     /// double-books, for arbitrary workloads and estimates.
     #[test]
@@ -273,5 +314,72 @@ proptest! {
                 prop_assert!(p >= cfg.idle_w && p <= cfg.tdp_w, "sample {}", p);
             }
         }
+    }
+}
+
+/// Population standard deviation with the KNN's degenerate-scale guard.
+fn knn_scale(values: &[f64]) -> f64 {
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
+    let s = var.sqrt();
+    if s > 1e-9 {
+        s
+    } else {
+        1.0
+    }
+}
+
+/// Brute-force KNN prediction over every training row: standardized
+/// squared distances, neighbours ordered by (d², own user first, index),
+/// and the categorical mode's own-history early stop.
+fn brute_force_knn(
+    data: &hpcpower_ml::data::Dataset,
+    cfg: KnnConfig,
+    user: u32,
+    nodes: f64,
+    walltime: f64,
+) -> f64 {
+    let f = &data.features;
+    let node_scale = knn_scale(&f.nodes);
+    let walltime_scale = knn_scale(&f.walltimes);
+    let users: Vec<f64> = f.users.iter().map(|&u| u as f64).collect();
+    let user_scale = knn_scale(&users);
+    let numeric = |i: usize| {
+        let dn = (f.nodes[i] - nodes) / node_scale;
+        let dw = (f.walltimes[i] - walltime) / walltime_scale;
+        dn * dn + dw * dw
+    };
+    let by_key = |a: &(f64, bool, usize), b: &(f64, bool, usize)| {
+        a.0.partial_cmp(&b.0).unwrap().then((a.1, a.2).cmp(&(b.1, b.2)))
+    };
+    // (d², cross-user, training index)
+    let mut cand: Vec<(f64, bool, usize)> = Vec::new();
+    if cfg.numeric_user {
+        for (i, &u) in users.iter().enumerate() {
+            let du = (u - user as f64) / user_scale;
+            cand.push((numeric(i) + du * du, false, i));
+        }
+    } else {
+        cand.extend((0..data.len()).filter(|&i| f.users[i] == user).map(|i| (numeric(i), false, i)));
+        cand.sort_by(by_key);
+        if cand.len() < cfg.k || cand[cfg.k - 1].0 > cfg.user_mismatch_penalty {
+            for i in (0..data.len()).filter(|&i| f.users[i] != user) {
+                cand.push((numeric(i) + cfg.user_mismatch_penalty, true, i));
+            }
+        }
+    }
+    cand.sort_by(by_key);
+    cand.truncate(cfg.k);
+    if cfg.distance_weighted {
+        let (mut wsum, mut acc) = (0.0, 0.0);
+        for &(d2, _, i) in &cand {
+            let w = 1.0 / (d2 + 1e-6);
+            wsum += w;
+            acc += w * data.targets[i];
+        }
+        acc / wsum
+    } else {
+        cand.iter().map(|&(_, _, i)| data.targets[i]).sum::<f64>() / cand.len() as f64
     }
 }
