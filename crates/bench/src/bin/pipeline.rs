@@ -40,6 +40,7 @@ use std::time::Instant;
 
 use hpcpower::prediction::PredictionConfig;
 use hpcpower::{json_report, report};
+use hpcpower_obs::ObsConfig;
 use hpcpower_sim::{simulate, with_threads, SimConfig};
 use serde_json::Value;
 
@@ -139,7 +140,7 @@ fn span_secs(snap: &hpcpower_obs::Snapshot, name: &str) -> f64 {
 fn run_once(cfg: &SimConfig, pcfg: &PredictionConfig, threads: usize) -> Run {
     // Fresh registry per run: the stage spans below must describe this
     // configuration only.
-    hpcpower_obs::reset();
+    hpcpower_obs::current().reset();
     let mut cfg = cfg.clone();
     cfg.threads = threads;
     let threads_used = with_threads(threads, rayon::current_num_threads);
@@ -417,21 +418,24 @@ fn main() {
     // The stage breakdowns ride on the pipeline's own telemetry spans;
     // the per-stage alloc sections need the allocation gate too (the
     // wrapper above is inert until this call).
-    hpcpower_obs::enable();
-    hpcpower_obs::enable_alloc_profiling();
+    let obs = hpcpower_obs::current();
+    obs.set_config(ObsConfig::METRICS | ObsConfig::ALLOC);
 
     // Optional live view of the bench: `--serve 127.0.0.1:0` samples the
     // registry every 250 ms and serves /metrics etc. while the runs go.
-    // The per-run `hpcpower_obs::reset()` clears the window between
+    // The per-run `reset()` of the handle clears the window between
     // configurations, so the endpoint always shows the current run.
     let live = serve_addr.map(|addr| {
-        hpcpower_obs::enable_sampling();
+        obs.set_config(obs.config() | ObsConfig::SAMPLING);
         hpcpower_obs::set_build_info(&git_sha(), env!("CARGO_PKG_VERSION"));
-        let sampler =
-            hpcpower_obs::Sampler::start_global(std::time::Duration::from_millis(250), None);
+        let sampler = hpcpower_obs::Sampler::start(
+            std::time::Duration::from_millis(250),
+            std::sync::Arc::new(hpcpower_obs::snapshot),
+            None,
+        );
         let server = hpcpower_obs::MetricsServer::start(
             addr.as_str(),
-            hpcpower_obs::ServeState::global(),
+            hpcpower_obs::ServeState::live(),
             hpcpower_obs::ServeOptions::default(),
         )
         .expect("bind --serve address");

@@ -10,7 +10,7 @@ use crate::args::Args;
 use crate::errors::CliError;
 use hpcpower_obs::alerts::{parse_rule_list, parse_rules, AlertEngine, AlertRule};
 use hpcpower_obs::export::{lint_prometheus, prometheus};
-use hpcpower_obs::{MetricsServer, Sampler, ServeOptions, ServeState, Snapshot};
+use hpcpower_obs::{MetricsServer, ObsConfig, Sampler, ServeOptions, ServeState, Snapshot};
 
 /// `git rev-parse --short HEAD`, or `"unknown"` outside a checkout.
 fn git_sha() -> String {
@@ -115,20 +115,21 @@ fn obs_serve(args: &Args) -> Result<(), String> {
     set_build_info();
 
     let static_doc = args.get("metrics").map(load_snapshot).transpose()?;
+    let obs = hpcpower_obs::current();
     let snapshot_fn: hpcpower_obs::sampler::SnapshotFn = match static_doc {
         Some(snap) => {
             let snap = Arc::new(snap);
             Arc::new(move || (*snap).clone())
         }
         None => {
-            hpcpower_obs::enable();
+            obs.set_config(obs.config() | ObsConfig::METRICS);
             Arc::new(hpcpower_obs::snapshot)
         }
     };
 
     // The sampler feeds the sliding window (and the alert engine) from
     // the same snapshot source the endpoint serves.
-    hpcpower_obs::enable_sampling();
+    obs.set_config(obs.config() | ObsConfig::SAMPLING);
     let mut sampler = Sampler::start(interval, Arc::clone(&snapshot_fn), engine.clone());
 
     let state = ServeState {
@@ -210,7 +211,6 @@ pub fn cmd_alerts(args: &Args) -> Result<(), CliError> {
     };
 
     let store = hpcpower_obs::WindowStore::with_capacity(snaps.len().max(16));
-    store.set_enabled(true);
     let mut engine = engine
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -253,13 +253,13 @@ impl LiveService {
         let addr = if addr.is_empty() { "127.0.0.1:0" } else { addr };
         let interval = Duration::from_millis(args.get_or("sample-interval-ms", 250u64)?);
         let engine = engine_from_args(args)?;
-        hpcpower_obs::enable();
-        hpcpower_obs::enable_sampling();
+        let obs = hpcpower_obs::current();
+        obs.set_config(obs.config() | ObsConfig::METRICS | ObsConfig::SAMPLING);
         set_build_info();
-        let sampler = Sampler::start_global(interval, engine.clone());
+        let sampler = Sampler::start(interval, Arc::new(hpcpower_obs::snapshot), engine.clone());
         let state = ServeState {
-            snapshot_fn: Arc::new(hpcpower_obs::snapshot),
             engine: engine.clone(),
+            ..ServeState::live()
         };
         let server = MetricsServer::start(addr, state, ServeOptions::default())
             .map_err(|e| format!("cannot bind {addr}: {e}"))?;
@@ -293,7 +293,7 @@ impl LiveService {
             let mut engine = engine
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            engine.evaluate(hpcpower_obs::store::global_store(), Some(hpcpower_obs::global()));
+            hpcpower_obs::current().evaluate_alerts(&mut engine);
         }
         if self.hold {
             if !self.quiet {

@@ -34,7 +34,7 @@ use errors::{CliError, EXIT_INTERRUPTED, EXIT_IO};
 use hpcpower::prediction::{self, PredictionConfig};
 use hpcpower::report;
 use hpcpower_ml::{DecisionTree, Regressor, TreeConfig};
-use hpcpower_obs::RetryPolicy;
+use hpcpower_obs::{ObsConfig, RetryPolicy};
 use hpcpower_sim::{
     run_checkpointed, with_threads, CheckpointOptions, ClusterSim, FaultConfig, SimConfig,
     SimOutput, DEFAULT_CHUNK_JOBS,
@@ -641,11 +641,9 @@ impl Telemetry {
     /// the snapshot describes the profile it ships with.
     fn emit(&self) -> Result<(), String> {
         if let Some((path, format)) = &self.profile_out {
-            let timeline = hpcpower_obs::timeline_snapshot();
+            let timeline = hpcpower_obs::current().timeline_snapshot();
             let mut graph = hpcpower_obs::ProfileGraph::from_timeline(&timeline);
-            if hpcpower_obs::alloc_profiling_enabled() {
-                graph.attach_alloc(&hpcpower_obs::alloc_snapshot());
-            }
+            graph.attach_alloc(&hpcpower_obs::alloc::snapshot());
             hpcpower_obs::gauge_set("obs.profile.nodes", graph.nodes.len() as f64);
             hpcpower_obs::gauge_set("obs.profile.events", graph.events as f64);
             hpcpower_obs::gauge_set("obs.profile.threads", graph.threads as f64);
@@ -673,7 +671,7 @@ impl Telemetry {
                 .map_err(|e| format!("cannot write metrics to {}: {e}", path.display()))?;
         }
         if let Some(path) = &self.trace_out {
-            let timeline = hpcpower_obs::timeline_snapshot();
+            let timeline = hpcpower_obs::current().timeline_snapshot();
             if timeline.dropped > 0 && !self.quiet {
                 eprintln!(
                     "warning: timeline ring wrapped, {} oldest events dropped \
@@ -697,13 +695,14 @@ fn main() {
     let args = Args::from_env().unwrap_or_else(|e| fail(e));
     let telemetry = Telemetry::from_args(&args).unwrap_or_else(|e| fail(e));
     if let Some(t) = &telemetry {
-        hpcpower_obs::enable();
+        let mut config = ObsConfig::METRICS;
         if t.wants_timeline() {
-            hpcpower_obs::enable_timeline();
+            config = config | ObsConfig::TIMELINE;
         }
         if t.wants_alloc_profiling() {
-            hpcpower_obs::enable_alloc_profiling();
+            config = config | ObsConfig::ALLOC;
         }
+        hpcpower_obs::current().set_config(config);
     }
     // Global --serve: live sampler + HTTP endpoint riding the command.
     let live = live::LiveService::from_args(&args).unwrap_or_else(|e| fail(e));

@@ -492,7 +492,7 @@ pub fn render_full_with(
     }
     // Each section times itself under a `report.section.*` span; the
     // spans run on whichever rayon worker picks the section up and fold
-    // into the global registry, never into the rendered bytes.
+    // into the caller's obs handle, never into the rendered bytes.
     type Section<'a> = Box<dyn FnOnce() -> String + Send + 'a>;
     let sections: Vec<Section<'_>> = vec![
         Box::new(|| hpcpower_obs::time("report.section.system_level", || render_system_level(d))),

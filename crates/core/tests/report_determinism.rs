@@ -7,6 +7,7 @@
 
 use hpcpower::prediction::PredictionConfig;
 use hpcpower::{json_report, report};
+use hpcpower_obs::ObsConfig;
 use hpcpower_sim::{simulate, with_threads, SimConfig};
 
 fn small_cfg() -> PredictionConfig {
@@ -42,9 +43,10 @@ fn pair_report_identical_across_thread_counts() {
 /// enabled or disabled, at 1 and 4 threads, while the registry fills
 /// with per-section timings and the timeline with span events.
 ///
-/// The baselines render before `enable()` and the test never calls
-/// `reset()`/`disable()`; the sibling tests only compare outputs with
-/// each other, so a concurrently enabled registry cannot affect them.
+/// The baselines render on the (disabled) process handle; the enabled
+/// renders run under a handle scoped to this test, which the rayon
+/// workers rendering the sections inherit. Sibling tests running
+/// concurrently never write into it.
 #[test]
 fn telemetry_does_not_change_report_bytes() {
     let dataset = simulate(SimConfig::emmy_small(9));
@@ -53,8 +55,7 @@ fn telemetry_does_not_change_report_bytes() {
     let baseline_json =
         serde_json::to_string(&with_threads(1, || json_report::build(&dataset, &cfg)))
             .expect("serializes");
-    hpcpower_obs::enable();
-    hpcpower_obs::enable_timeline();
+    let obs = hpcpower_obs::scoped(ObsConfig::METRICS | ObsConfig::TIMELINE);
     for threads in [1, 4] {
         let text = with_threads(threads, || report::render_full(&dataset, &cfg));
         assert_eq!(
@@ -69,7 +70,7 @@ fn telemetry_does_not_change_report_bytes() {
             "telemetry changed JSON report at {threads} threads"
         );
     }
-    let snap = hpcpower_obs::snapshot();
+    let snap = obs.snapshot();
     for span in [
         "report.render",
         "report.json",
@@ -82,10 +83,16 @@ fn telemetry_does_not_change_report_bytes() {
         let s = snap.span(span).unwrap_or_else(|| panic!("missing span {span}"));
         assert!(s.total_ns > 0, "span {span} must have nonzero time");
     }
+    // Sections render on rayon workers at 4 threads; their spans still
+    // land in this test's handle, once per enabled render.
+    for section in ["system_level", "prediction", "pricing"] {
+        let s = snap.span(&format!("report.section.{section}")).unwrap();
+        assert_eq!(s.count, 2, "report.section.{section}: one span per enabled render");
+    }
     // The dataset index was warmed by the disabled baseline render, so
     // every enabled-phase access is a memoization hit.
     assert!(snap.counter("trace.index.hits").unwrap_or(0) > 0);
-    let timeline = hpcpower_obs::timeline_snapshot();
+    let timeline = obs.timeline_snapshot();
     assert!(
         timeline
             .events

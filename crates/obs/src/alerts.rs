@@ -351,13 +351,8 @@ impl AlertEngine {
             .map(|i| &self.status[i])
     }
 
-    /// Completed evaluation passes.
-    pub fn evals(&self) -> u64 {
-        self.evals
-    }
-
     /// `(firing, pending)` rule counts right now.
-    pub fn status_counts(&self) -> (usize, usize) {
+    pub(crate) fn status_counts(&self) -> (usize, usize) {
         let firing = self
             .status
             .iter()
@@ -383,8 +378,7 @@ impl AlertEngine {
 
     /// Evaluates every rule against the store's current windows and
     /// advances the state machine one step. When a registry is given,
-    /// publishes the `obs.alerts.*` meta-metrics into it (subject to
-    /// the registry's own enabled gate).
+    /// publishes the `obs.alerts.*` meta-metrics into it.
     pub fn evaluate(&mut self, store: &WindowStore, registry: Option<&Registry>) {
         self.evals += 1;
         let mut transitions = 0u64;
@@ -520,7 +514,6 @@ mod tests {
 
     fn store_with(name: &str, values: &[f64]) -> WindowStore {
         let s = WindowStore::with_capacity(64);
-        s.set_enabled(true);
         for (i, v) in values.iter().enumerate() {
             let snap = Snapshot {
                 gauges: vec![(name.to_string(), *v)],
@@ -592,7 +585,6 @@ mod tests {
         let rule = AlertRule::parse("hi:g>10@2").unwrap();
         let mut eng = AlertEngine::new(vec![rule]);
         let reg = Registry::new();
-        reg.set_enabled(true);
 
         let s = store_with("g", &[20.0]);
         eng.evaluate(&s, Some(&reg));

@@ -9,10 +9,12 @@
 //! static ALLOC: hpcpower_obs::ProfiledAllocator = hpcpower_obs::ProfiledAllocator;
 //! ```
 //!
-//! Recording is behind its own enable gate (the fourth one, next to the
-//! registry, timeline, and sampling gates): with the gate off — the
-//! default — every allocator call costs the underlying `System` call
-//! plus **one relaxed atomic load**, asserted by
+//! Recording is gated by the process handle's
+//! [`crate::ObsConfig::ALLOC`] bit. There is one global allocator, so
+//! attribution is process-wide: a scoped handle's `ALLOC` bit has no
+//! effect. With the bit off — the default — every allocator call costs
+//! the underlying `System` call plus **one relaxed atomic load** of a
+//! plain static (no lazy initialization), asserted by
 //! `tests/overhead.rs`. Installing the wrapper in a binary that never
 //! enables profiling is therefore free in practice.
 //!
@@ -37,12 +39,12 @@
 //!
 //! Totals (`alloc`/`dealloc` counts and bytes, live bytes, high-water
 //! peak) are process-wide atomics; [`crate::snapshot`] surfaces them as
-//! `obs.alloc.*` metrics when the gate is enabled.
+//! `obs.alloc.*` metrics while the gate is on.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Maximum number of distinct span call paths that get their own
@@ -55,8 +57,6 @@ pub const ROOT_SLOT: u32 = 0;
 
 /// Slot index that absorbs paths once the table is full.
 pub const OVERFLOW_SLOT: u32 = 1;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
 
 static TOTAL_ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 static TOTAL_ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -116,16 +116,11 @@ thread_local! {
     static CURRENT_SLOT: Cell<u32> = const { Cell::new(ROOT_SLOT) };
 }
 
-/// Whether allocation profiling is recording (default: off).
+/// Whether allocation profiling is recording: the process handle's
+/// [`crate::ObsConfig::ALLOC`] bit (default: off).
 #[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns allocation recording on or off. Only has an observable effect
-/// in binaries that installed [`ProfiledAllocator`].
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+pub(crate) fn recording() -> bool {
+    crate::PROCESS.config().contains(crate::ObsConfig::ALLOC)
 }
 
 /// Slot carried by the current thread for the innermost active span.
@@ -213,7 +208,7 @@ pub struct ProfiledAllocator;
 unsafe impl GlobalAlloc for ProfiledAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
-        if !p.is_null() && is_enabled() {
+        if !p.is_null() && recording() {
             record_alloc(layout.size());
         }
         p
@@ -221,7 +216,7 @@ unsafe impl GlobalAlloc for ProfiledAllocator {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc_zeroed(layout) };
-        if !p.is_null() && is_enabled() {
+        if !p.is_null() && recording() {
             record_alloc(layout.size());
         }
         p
@@ -229,14 +224,14 @@ unsafe impl GlobalAlloc for ProfiledAllocator {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
-        if is_enabled() {
+        if recording() {
             record_dealloc(layout.size());
         }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() && is_enabled() {
+        if !p.is_null() && recording() {
             record_dealloc(layout.size());
             record_alloc(new_size);
         }
@@ -328,7 +323,7 @@ pub fn snapshot() -> AllocSnapshot {
         })
         .collect();
     AllocSnapshot {
-        enabled: is_enabled(),
+        enabled: recording(),
         alloc_count: TOTAL_ALLOC_COUNT.load(Ordering::Relaxed),
         alloc_bytes: TOTAL_ALLOC_BYTES.load(Ordering::Relaxed),
         dealloc_count: TOTAL_DEALLOC_COUNT.load(Ordering::Relaxed),
@@ -413,10 +408,10 @@ mod tests {
 
     #[test]
     fn disabled_gate_reports_disabled() {
-        // The gate is global state; other tests in this crate never
-        // enable it, so `snapshot()` must agree with the flag.
-        if !is_enabled() {
-            assert!(!snapshot().enabled);
-        }
+        // No test in this crate sets the process handle's ALLOC bit; a
+        // scoped handle's bit must not turn the process-wide gate on.
+        let _obs = crate::scoped(crate::ObsConfig::METRICS | crate::ObsConfig::ALLOC);
+        assert!(!recording());
+        assert!(!snapshot().enabled);
     }
 }

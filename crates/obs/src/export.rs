@@ -109,7 +109,7 @@ pub fn chrome_trace(snap: &TimelineSnapshot) -> String {
 
 /// Maps a dotted metric name onto the Prometheus charset
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
-pub fn sanitize_metric_name(name: &str) -> String {
+fn sanitize_metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for (i, c) in name.chars().enumerate() {
         let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
@@ -151,7 +151,7 @@ fn escape_help(s: &str) -> String {
 /// Escapes a label value per the exposition format: `\`, `"`, and
 /// line feeds must be backslash-escaped (one more case than HELP
 /// text, since label values are double-quoted).
-pub fn escape_label_value(s: &str) -> String {
+fn escape_label_value(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 

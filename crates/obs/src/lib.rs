@@ -5,16 +5,16 @@
 //!
 //! - **Spans** — [`span!`] opens an RAII guard that times a region of
 //!   code and folds `(count, total, min, max)` plus a log-bucketed
-//!   duration histogram per span name into the global registry on drop.
-//!   Spans nest (a thread-local stack records the parent) and aggregate
-//!   safely across rayon workers: any thread may open any span at any
-//!   time.
+//!   duration histogram per span name into the current handle's
+//!   registry on drop. Spans nest (a thread-local stack records the
+//!   parent) and aggregate safely across rayon workers: any thread may
+//!   open any span at any time.
 //! - **Metrics registry** — monotonic [counters](Registry::counter_add),
 //!   [gauges](Registry::gauge_set), and log-bucketed quantile
 //!   [histograms](Registry::histogram_record) (HDR-style, ~2
 //!   significant digits; see [`Histogram`] for the documented
 //!   relative-error bound) whose exact moment statistics ride on the
-//!   [`hpcpower_stats`] Welford [`Summary`] accumulator.
+//!   [`hpcpower_stats`] Welford `Summary` accumulator.
 //! - **Timeline** — an opt-in bounded, lock-sharded ring buffer of
 //!   individual span begin/end events ([`timeline`]), exportable as
 //!   Chrome trace-event JSON ([`export::chrome_trace`]) for Perfetto /
@@ -25,32 +25,43 @@
 //!   text exposition v0.0.4 ([`export::prometheus`]); the format is
 //!   selected at runtime ([`LogFormat`], [`MetricsFormat`]).
 //!
+//! ## One handle, one gate
+//!
+//! All recording state lives in an [`Obs`] handle: a [`Registry`], a
+//! [`Timeline`] and a [`WindowStore`] (plain recorders), gated once by
+//! an [`ObsConfig`] bitset. [`current`] returns the handle installed on
+//! this thread ([`scoped`], [`ObsHandle::install`]), or else the
+//! process handle, which the CLI and the bench configure once. Rayon
+//! workers, the sampler and the HTTP server run under the handle that
+//! was current where they were started, so a test's scoped handle sees
+//! exactly its own work. Allocation attribution is the exception: there
+//! is one global allocator, so it reads the process handle's
+//! [`ObsConfig::ALLOC`] bit.
+//!
 //! ## Overhead contract
 //!
-//! Telemetry is **off by default** and off-cheap: every entry point
-//! checks one relaxed atomic load and returns immediately when
-//! disabled — no locks, no allocation, no clock reads (asserted by the
-//! timing-ratio test in `tests/overhead.rs`). The timeline has a second
-//! gate on top: span events are only recorded when an exporter asked
-//! for them via [`enable_timeline`]. When enabled, instrumentation only
-//! *observes* (clock reads, counter folds); it never participates in
-//! pipeline computation, so report and dataset bytes are identical with
-//! observability on or off, at any thread count.
-//! `crates/sim/tests/determinism.rs` and
-//! `crates/core/tests/report_determinism.rs` prove the contract.
+//! Telemetry is **off by default** and off-cheap: a disabled entry point
+//! costs one thread-local read and one relaxed atomic load — no locks,
+//! no allocation, no clock reads (`tests/overhead.rs`). Enabled, it only
+//! *observes*, so report and dataset bytes are identical with it on or
+//! off at any thread count (`crates/sim/tests/determinism.rs`,
+//! `crates/core/tests/report_determinism.rs`).
 //!
 //! ## Usage
 //!
 //! ```
-//! hpcpower_obs::enable();
+//! use hpcpower_obs::ObsConfig;
+//!
+//! // A fresh handle for this thread (and any rayon workers it starts),
+//! // uninstalled when `obs` drops.
+//! let obs = hpcpower_obs::scoped(ObsConfig::METRICS);
 //! {
 //!     let _span = hpcpower_obs::span!("demo.stage");
 //!     hpcpower_obs::counter_add("demo.items", 3);
 //! }
-//! let snap = hpcpower_obs::snapshot();
+//! let snap = obs.snapshot();
 //! assert_eq!(snap.counter("demo.items"), Some(3));
 //! assert!(snap.span("demo.stage").is_some());
-//! hpcpower_obs::disable();
 //! ```
 
 #![warn(missing_docs)]
@@ -71,18 +82,19 @@ pub mod store;
 pub mod timeline;
 pub mod watchdog;
 
-use std::sync::OnceLock;
-use std::time::Instant;
-
-use hpcpower_stats::Summary;
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
 
 pub use alerts::{AlertEngine, AlertKind, AlertOp, AlertRule, AlertState};
 pub use alloc::{AllocSnapshot, ProfiledAllocator, SlotSnapshot};
 pub use profile::{
     render_profile, FlatEntry, FlatProfile, ProfileFormat, ProfileGraph, ProfileNode,
 };
-pub use registry::{Histogram, Registry, SUBBUCKETS_PER_OCTAVE};
-pub use retry::{http_get_retry, is_transient, retry_io, RetryPolicy};
+pub use registry::{Histogram, Registry};
+pub use retry::{http_get_retry, retry_io, RetryPolicy};
 pub use sampler::Sampler;
 pub use serve::{MetricsServer, ServeOptions, ServeState};
 pub use sink::{render, render_metrics, LogFormat, MetricsFormat};
@@ -91,135 +103,290 @@ pub use span::SpanGuard;
 pub use store::{SamplePoint, WindowSnapshot, WindowStore};
 pub use timeline::{Timeline, TimelineEvent, TimelineSnapshot};
 
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
+/// Which recorders of an [`Obs`] handle are on: a bitset of
+/// [`METRICS`](Self::METRICS), [`TIMELINE`](Self::TIMELINE),
+/// [`SAMPLING`](Self::SAMPLING) and [`ALLOC`](Self::ALLOC), combined
+/// with `|`. The default is [`OFF`](Self::OFF).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ObsConfig(u8);
 
-/// The process-wide registry every instrumentation point reports to.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
+impl ObsConfig {
+    /// Nothing records.
+    pub const OFF: Self = Self(0);
+    /// Counters, gauges, histograms and span aggregates record.
+    pub const METRICS: Self = Self(1);
+    /// Span begin/end events record into the timeline. Only live spans
+    /// emit events, so this needs [`METRICS`](Self::METRICS) too.
+    pub const TIMELINE: Self = Self(1 << 1);
+    /// [`sample_now`] and the [`Sampler`] feed the window store.
+    pub const SAMPLING: Self = Self(1 << 2);
+    /// [`ProfiledAllocator`] attributes heap traffic to spans. Honoured
+    /// on the process handle only: there is one global allocator.
+    pub const ALLOC: Self = Self(1 << 3);
+
+    /// Whether every bit of `other` is set in `self`.
+    #[inline]
+    pub const fn contains(self, other: Self) -> bool {
+        self.0 & other.0 == other.0
+    }
 }
 
-/// Whether telemetry collection is currently enabled (default: off).
+impl std::ops::BitOr for ObsConfig {
+    type Output = Self;
+    fn bitor(self, rhs: Self) -> Self {
+        Self(self.0 | rhs.0)
+    }
+}
+
+/// One scope of telemetry: a registry, a span timeline, a window store
+/// and the [`ObsConfig`] that gates them. Reach the handle in effect
+/// through [`current`].
+#[derive(Debug)]
+pub struct Obs {
+    config: AtomicU8,
+    registry: Registry,
+    // Built on first use, so a handle that never records events or
+    // samples never allocates their rings.
+    timeline: OnceLock<Timeline>,
+    store: OnceLock<WindowStore>,
+}
+
+/// The process handle: in effect on every thread without a scoped one.
+/// A plain static, so the allocator can read its `ALLOC` bit without
+/// lazy initialization.
+static PROCESS: Obs = Obs::new();
+
+/// A ring capacity from the environment, or `default`.
+fn env_capacity(var: &str, default: usize) -> usize {
+    std::env::var(var)
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&c| c > 0)
+        .unwrap_or(default)
+}
+
+impl Obs {
+    /// Creates a handle with every recorder off.
+    const fn new() -> Self {
+        Self {
+            config: AtomicU8::new(0),
+            registry: Registry::new(),
+            timeline: OnceLock::new(),
+            store: OnceLock::new(),
+        }
+    }
+
+    /// Which recorders are on.
+    #[inline]
+    pub fn config(&self) -> ObsConfig {
+        ObsConfig(self.config.load(Ordering::Relaxed))
+    }
+
+    /// Turns recorders on and off; data recorded so far is kept until
+    /// [`reset`](Self::reset).
+    pub fn set_config(&self, config: ObsConfig) {
+        self.config.store(config.0, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn on(&self, bits: ObsConfig) -> bool {
+        self.config().contains(bits)
+    }
+
+    /// The registry, when [`ObsConfig::METRICS`] is on.
+    #[inline]
+    pub(crate) fn metrics(&self) -> Option<&Registry> {
+        self.on(ObsConfig::METRICS).then_some(&self.registry)
+    }
+
+    /// The timeline, when [`ObsConfig::TIMELINE`] is on. Sized by
+    /// `HPCPOWER_OBS_TIMELINE_CAPACITY` (read when the ring is built) or
+    /// [`timeline::DEFAULT_CAPACITY`].
+    pub(crate) fn events(&self) -> Option<&Timeline> {
+        self.on(ObsConfig::TIMELINE).then(|| {
+            self.timeline.get_or_init(|| {
+                let var = "HPCPOWER_OBS_TIMELINE_CAPACITY";
+                Timeline::with_capacity(env_capacity(var, timeline::DEFAULT_CAPACITY))
+            })
+        })
+    }
+
+    /// The window store, sized by `HPCPOWER_OBS_WINDOW_CAPACITY` (read
+    /// when the store is built) or [`store::DEFAULT_WINDOW_CAPACITY`].
+    pub(crate) fn store(&self) -> &WindowStore {
+        self.store.get_or_init(|| {
+            let var = "HPCPOWER_OBS_WINDOW_CAPACITY";
+            WindowStore::with_capacity(env_capacity(var, store::DEFAULT_WINDOW_CAPACITY))
+        })
+    }
+
+    /// A deterministic (name-sorted) snapshot of the registry. With
+    /// [`ObsConfig::METRICS`] on it also carries the
+    /// `obs.process.uptime_seconds` gauge and, while the process
+    /// handle's [`ObsConfig::ALLOC`] bit is on, the `obs.alloc.*` totals;
+    /// plus the build identity from [`set_build_info`].
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snap = self.registry.snapshot();
+        if self.on(ObsConfig::METRICS) {
+            snap.set_gauge("obs.process.uptime_seconds", uptime_seconds());
+            if alloc::recording() {
+                let a = alloc::snapshot();
+                snap.set_counter("obs.alloc.allocations", a.alloc_count);
+                snap.set_counter("obs.alloc.allocated_bytes", a.alloc_bytes);
+                snap.set_counter("obs.alloc.deallocations", a.dealloc_count);
+                snap.set_counter("obs.alloc.freed_bytes", a.dealloc_bytes);
+                snap.set_gauge("obs.alloc.current_bytes", a.current_bytes as f64);
+                snap.set_gauge("obs.alloc.peak_bytes", a.peak_bytes as f64);
+            }
+        }
+        snap.build_info = build_info().cloned();
+        snap
+    }
+
+    /// A sorted copy of the timeline's events plus the ring-wrap drop
+    /// count.
+    pub fn timeline_snapshot(&self) -> TimelineSnapshot {
+        self.timeline.get().map(Timeline::snapshot).unwrap_or_default()
+    }
+
+    /// A frozen copy of the window store's series.
+    pub fn window_snapshot(&self) -> WindowSnapshot {
+        self.store.get().map(WindowStore::snapshot).unwrap_or_default()
+    }
+
+    /// Ingests `snap` into the window store at the current monotonic
+    /// timestamp, when [`ObsConfig::SAMPLING`] is on.
+    fn ingest_sample(&self, snap: &Snapshot) {
+        if self.on(ObsConfig::SAMPLING) {
+            self.store().ingest(snap, timeline::now_ns());
+        }
+    }
+
+    /// Advances `engine` one step over the window store, publishing
+    /// its `obs.alerts.*` meta-metrics when [`ObsConfig::METRICS`] is
+    /// on.
+    pub fn evaluate_alerts(&self, engine: &mut AlertEngine) {
+        engine.evaluate(self.store(), self.metrics());
+    }
+
+    /// Clears the registry, the timeline and the window store (the
+    /// config is left as is). On the process handle this also zeroes
+    /// the allocation-profiling stats.
+    pub fn reset(&self) {
+        self.registry.reset();
+        if let Some(t) = self.timeline.get() {
+            t.reset();
+        }
+        if let Some(s) = self.store.get() {
+            s.reset();
+        }
+        if std::ptr::eq(self, &PROCESS) {
+            alloc::reset();
+        }
+    }
+}
+
+thread_local! {
+    /// The handle installed on this thread, if any.
+    static SCOPED: RefCell<Option<Arc<Obs>>> = const { RefCell::new(None) };
+}
+
+/// A shared reference to an [`Obs`]: a scoped handle, or the process
+/// handle (the [`Default`]). Cheap to clone and `Send`, so it can be
+/// carried into threads and installed there.
+#[derive(Debug, Clone, Default)]
+pub struct ObsHandle(Option<Arc<Obs>>);
+
+impl Deref for ObsHandle {
+    type Target = Obs;
+    fn deref(&self) -> &Obs {
+        self.0.as_deref().unwrap_or(&PROCESS)
+    }
+}
+
+impl ObsHandle {
+    /// Makes this handle current on the calling thread until the
+    /// returned guard drops.
+    pub fn install(&self) -> ObsScope {
+        let prev = SCOPED.with(|s| s.replace(self.0.clone()));
+        ObsScope {
+            handle: self.clone(),
+            prev,
+            _not_send: PhantomData,
+        }
+    }
+}
+
+/// Guard of an installed handle: derefs to it, and restores the
+/// previously current handle on drop.
+#[derive(Debug)]
+pub struct ObsScope {
+    handle: ObsHandle,
+    prev: Option<Arc<Obs>>,
+    // The guard restores this thread's slot, so it must drop here.
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Deref for ObsScope {
+    type Target = Obs;
+    fn deref(&self) -> &Obs {
+        &self.handle
+    }
+}
+
+impl Drop for ObsScope {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        let _ = SCOPED.try_with(|s| *s.borrow_mut() = prev);
+    }
+}
+
+/// The handle in effect on this thread: the installed scoped handle if
+/// there is one, otherwise the process handle.
+#[inline]
+pub fn current() -> ObsHandle {
+    // During thread teardown the slot may be gone; fall back to the
+    // process handle then.
+    ObsHandle(SCOPED.try_with(|s| s.borrow().clone()).ok().flatten())
+}
+
+/// Installs a fresh handle with `config` on this thread until the
+/// returned guard drops — the way a test gets telemetry of its own.
+pub fn scoped(config: ObsConfig) -> ObsScope {
+    let obs = Obs::new();
+    obs.set_config(config);
+    ObsHandle(Some(Arc::new(obs))).install()
+}
+
+/// Whether the current handle collects metrics (default: off).
 #[inline]
 pub fn enabled() -> bool {
-    global().is_enabled()
+    current().on(ObsConfig::METRICS)
 }
 
-/// Turns telemetry collection on. Also pins the process-uptime epoch
-/// (see [`uptime_seconds`]) if this is the first call.
+/// Turns metrics collection on in the current handle, keeping its
+/// other bits. Also pins the process epoch (see [`uptime_seconds`]) if
+/// this is the first telemetry clock read.
 pub fn enable() {
-    process_epoch();
-    global().set_enabled(true);
+    timeline::now_ns();
+    current()
+        .config
+        .fetch_or(ObsConfig::METRICS.0, Ordering::Relaxed);
 }
 
-/// Turns telemetry collection off. Metrics recorded so far are kept
-/// until [`reset`].
-pub fn disable() {
-    global().set_enabled(false);
-}
-
-/// Whether span begin/end events are being recorded into the global
-/// timeline (default: off; requires [`enable`] too to take effect,
-/// since inert guards record nothing).
-#[inline]
-pub fn timeline_enabled() -> bool {
-    timeline::global_timeline().is_enabled()
-}
-
-/// Turns timeline event recording on (see [`timeline`] for ring sizing
-/// and drop semantics). Call [`enable`] as well: the timeline only sees
-/// spans that are live in the first place.
-pub fn enable_timeline() {
-    timeline::global_timeline().set_enabled(true);
-}
-
-/// Turns timeline event recording off. Events recorded so far are kept
-/// until [`reset`].
-pub fn disable_timeline() {
-    timeline::global_timeline().set_enabled(false);
-}
-
-/// Takes a sorted copy of the global timeline's events plus the
-/// ring-wrap drop count.
-pub fn timeline_snapshot() -> TimelineSnapshot {
-    timeline::global_timeline().snapshot()
-}
-
-/// Whether the periodic sampler's window store accepts samples
-/// (default: off).
-#[inline]
-pub fn sampling_enabled() -> bool {
-    store::global_store().is_enabled()
-}
-
-/// Turns sliding-window sampling on (see [`store`] for ring sizing
-/// and drop semantics). Call [`enable`] as well: the sampler snapshots
-/// the registry, which records nothing while disabled.
-pub fn enable_sampling() {
-    store::global_store().set_enabled(true);
-}
-
-/// Turns sliding-window sampling off. Samples recorded so far are
-/// kept until [`reset`].
-pub fn disable_sampling() {
-    store::global_store().set_enabled(false);
-}
-
-/// Whether the installed [`ProfiledAllocator`] is attributing
-/// allocation traffic (default: off). Without a `#[global_allocator]`
-/// install the gate is inert either way.
-#[inline]
-pub fn alloc_profiling_enabled() -> bool {
-    alloc::is_enabled()
-}
-
-/// Turns allocation profiling on (see [`alloc`] for the attribution
-/// model). Only has an observable effect in binaries that installed
-/// [`ProfiledAllocator`] as the `#[global_allocator]`.
-pub fn enable_alloc_profiling() {
-    alloc::set_enabled(true);
-}
-
-/// Turns allocation profiling off. Stats recorded so far are kept
-/// until [`reset`].
-pub fn disable_alloc_profiling() {
-    alloc::set_enabled(false);
-}
-
-/// Takes a consistent copy of the allocation-profiling totals and
-/// per-call-path slot stats.
-pub fn alloc_snapshot() -> AllocSnapshot {
-    alloc::snapshot()
-}
-
-/// Ingests one registry snapshot into the global window store right
-/// now (what a sampler tick does). No-op when sampling is disabled —
-/// the disabled cost is one relaxed atomic load.
+/// Ingests one snapshot of the current handle into its window store
+/// now (what a sampler tick does). No-op unless
+/// [`ObsConfig::SAMPLING`] is on.
 pub fn sample_now() {
-    if !store::global_store().is_enabled() {
-        return;
+    let obs = current();
+    if obs.on(ObsConfig::SAMPLING) {
+        obs.ingest_sample(&obs.snapshot());
     }
-    ingest_sample(&snapshot());
 }
 
-/// Ingests an already-taken snapshot into the global window store at
-/// the current monotonic timestamp. No-op when sampling is disabled.
-pub fn ingest_sample(snap: &Snapshot) {
-    let store = store::global_store();
-    if !store.is_enabled() {
-        return;
-    }
-    store.ingest(snap, timeline::now_ns());
-}
-
-/// Takes a frozen copy of the global window store's series.
-pub fn window_snapshot() -> WindowSnapshot {
-    store::global_store().snapshot()
-}
-
-/// Records the identity baked into the running binary; shows up as
-/// the `hpcpower_build_info` info-gauge in the Prometheus exposition,
-/// a `build_info` section in the JSON document, and Chrome trace
-/// metadata. First caller wins; later calls are ignored.
+/// Records the identity baked into the running binary (the
+/// `hpcpower_build_info` info-gauge, the JSON document's `build_info`,
+/// Chrome trace metadata). First caller wins.
 pub fn set_build_info(git_sha: &str, version: &str) {
     let _ = BUILD_INFO.set(BuildInfo {
         git_sha: git_sha.to_string(),
@@ -234,76 +401,51 @@ pub fn build_info() -> Option<&'static BuildInfo> {
 
 static BUILD_INFO: OnceLock<BuildInfo> = OnceLock::new();
 
-static PROCESS_EPOCH: OnceLock<Instant> = OnceLock::new();
-
-fn process_epoch() -> Instant {
-    *PROCESS_EPOCH.get_or_init(Instant::now)
-}
-
-/// Seconds since telemetry was first enabled (or since the first
-/// uptime query, whichever came first) — the
+/// Seconds since the process epoch (the first telemetry clock read or
+/// [`enable`], whichever came first) — the
 /// `obs.process.uptime_seconds` gauge.
-pub fn uptime_seconds() -> f64 {
-    process_epoch().elapsed().as_secs_f64()
+pub(crate) fn uptime_seconds() -> f64 {
+    timeline::now_ns() as f64 / 1e9
 }
 
-/// Clears every counter, gauge, histogram, and span aggregate, the
-/// recorded timeline events, the window store's series, and the
-/// allocation-profiling stats.
-pub fn reset() {
-    global().reset();
-    timeline::global_timeline().reset();
-    store::global_store().reset();
-    alloc::reset();
-}
-
-/// Takes a deterministic (name-sorted) snapshot of the registry.
-///
-/// On top of the raw registry contents, an enabled registry's
-/// snapshot carries the `obs.process.uptime_seconds` gauge and — when
-/// [`set_build_info`] was called — the build identity.
+/// Takes a deterministic snapshot of the current handle (see
+/// [`Obs::snapshot`]).
 pub fn snapshot() -> Snapshot {
-    let mut snap = global().snapshot();
-    if global().is_enabled() {
-        snap.set_gauge("obs.process.uptime_seconds", uptime_seconds());
-        if alloc::is_enabled() {
-            let a = alloc::snapshot();
-            snap.set_counter("obs.alloc.allocations", a.alloc_count);
-            snap.set_counter("obs.alloc.allocated_bytes", a.alloc_bytes);
-            snap.set_counter("obs.alloc.deallocations", a.dealloc_count);
-            snap.set_counter("obs.alloc.freed_bytes", a.dealloc_bytes);
-            snap.set_gauge("obs.alloc.current_bytes", a.current_bytes as f64);
-            snap.set_gauge("obs.alloc.peak_bytes", a.peak_bytes as f64);
-        }
-    }
-    snap.build_info = build_info().cloned();
-    snap
+    current().snapshot()
 }
 
 /// Adds `delta` to the monotonic counter `name` (no-op when disabled).
 #[inline]
 pub fn counter_add(name: &str, delta: u64) {
-    global().counter_add(name, delta);
+    if let Some(r) = current().metrics() {
+        r.counter_add(name, delta);
+    }
 }
 
 /// Sets the gauge `name` to `value` (no-op when disabled).
 #[inline]
 pub fn gauge_set(name: &str, value: f64) {
-    global().gauge_set(name, value);
+    if let Some(r) = current().metrics() {
+        r.gauge_set(name, value);
+    }
 }
 
 /// Records `value` into the log-bucketed histogram `name` (no-op when
 /// disabled).
 #[inline]
 pub fn histogram_record(name: &str, value: f64) {
-    global().histogram_record(name, value);
+    if let Some(r) = current().metrics() {
+        r.histogram_record(name, value);
+    }
 }
 
 /// Records many values into the histogram `name` under one lock
 /// (no-op when disabled; the iterator is not consumed in that case).
 #[inline]
 pub fn histogram_record_many(name: &str, values: impl IntoIterator<Item = f64>) {
-    global().histogram_record_many(name, values);
+    if let Some(r) = current().metrics() {
+        r.histogram_record_many(name, values);
+    }
 }
 
 /// Runs `f` inside a span named `name` and returns its result.
@@ -328,51 +470,96 @@ macro_rules! span {
     };
 }
 
-/// Builds a [`Summary`] over the values of an iterator — convenience
-/// for instrumentation sites that want moment statistics of a derived
-/// quantity without collecting it.
-pub fn summarize(values: impl IntoIterator<Item = f64>) -> Summary {
-    let mut s = Summary::new();
-    for v in values {
-        s.push(v);
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The global-API surface is covered by one test because the
-    /// registry is process-wide state shared with any concurrently
-    /// running test; instance-level behaviour is tested per module.
     #[test]
-    fn global_api_end_to_end() {
-        enable();
-        counter_add("test.global.counter", 2);
-        counter_add("test.global.counter", 3);
-        gauge_set("test.global.gauge", 1.5);
-        histogram_record("test.global.hist", 0.25);
+    fn scoped_handle_records_metrics_and_nested_spans() {
+        let obs = scoped(ObsConfig::METRICS);
+        counter_add("test.scoped.counter", 2);
+        counter_add("test.scoped.counter", 3);
+        gauge_set("test.scoped.gauge", 1.5);
+        histogram_record("test.scoped.hist", 0.25);
         {
-            let _outer = span!("test.global.outer");
-            let _inner = span!("test.global.inner");
+            let _outer = span!("test.scoped.outer");
+            let _inner = span!("test.scoped.inner");
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let snap = snapshot();
-        assert_eq!(snap.counter("test.global.counter"), Some(5));
-        assert_eq!(snap.gauge("test.global.gauge"), Some(1.5));
-        assert_eq!(snap.histogram("test.global.hist").unwrap().p50, 0.25);
-        let inner = snap.span("test.global.inner").expect("inner span recorded");
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("test.scoped.counter"), Some(5));
+        assert_eq!(snap.gauge("test.scoped.gauge"), Some(1.5));
+        assert_eq!(snap.histogram("test.scoped.hist").unwrap().p50, 0.25);
+        let inner = snap.span("test.scoped.inner").expect("inner span recorded");
         assert!(inner.total_ns > 0);
-        assert_eq!(inner.parent.as_deref(), Some("test.global.outer"));
-        assert!(snap.span("test.global.outer").unwrap().total_ns >= inner.total_ns);
+        assert_eq!(inner.parent.as_deref(), Some("test.scoped.outer"));
+        assert!(snap.span("test.scoped.outer").unwrap().total_ns >= inner.total_ns);
         assert!(inner.p99_ns >= inner.p50_ns, "quantiles are ordered");
-        disable();
+        assert!(snap.gauge("obs.process.uptime_seconds").is_some());
+    }
+
+    #[test]
+    fn disabled_handle_records_nothing() {
+        let obs = scoped(ObsConfig::OFF);
+        counter_add("test.off.counter", 1);
+        gauge_set("test.off.gauge", 2.0);
+        histogram_record("test.off.hist", 3.0);
+        {
+            let _s = span!("test.off.span");
+        }
+        sample_now();
+        let snap = obs.snapshot();
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty());
+        assert!(snap.histograms.is_empty() && snap.spans.is_empty());
+        assert!(obs.window_snapshot().series.is_empty());
+        assert!(obs.timeline_snapshot().events.is_empty());
+    }
+
+    #[test]
+    fn scopes_nest_and_restore_the_previous_handle() {
+        let outer = scoped(ObsConfig::METRICS);
+        {
+            let inner = scoped(ObsConfig::METRICS);
+            counter_add("test.nest", 1);
+            assert_eq!(inner.snapshot().counter("test.nest"), Some(1));
+        }
+        counter_add("test.nest", 10);
+        assert_eq!(outer.snapshot().counter("test.nest"), Some(10));
+        // A handle carried into another thread records there.
+        let handle = current();
+        std::thread::spawn(move || {
+            let _obs = handle.install();
+            counter_add("test.nest", 100);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(outer.snapshot().counter("test.nest"), Some(110));
+    }
+
+    #[test]
+    fn config_bits_gate_timeline_and_sampling() {
+        let obs = scoped(ObsConfig::METRICS);
+        {
+            let _s = span!("test.bits.span");
+        }
+        sample_now();
+        assert!(obs.timeline_snapshot().events.is_empty(), "TIMELINE off");
+        assert_eq!(obs.window_snapshot().samples, 0, "SAMPLING off");
+        obs.set_config(ObsConfig::METRICS | ObsConfig::TIMELINE | ObsConfig::SAMPLING);
+        {
+            let _s = span!("test.bits.span");
+        }
+        sample_now();
+        assert_eq!(obs.timeline_snapshot().events.len(), 2);
+        assert_eq!(obs.window_snapshot().samples, 1);
+        obs.reset();
+        assert!(obs.snapshot().span("test.bits.span").is_none());
+        assert!(obs.timeline_snapshot().events.is_empty());
+        assert_eq!(obs.config(), ObsConfig::METRICS | ObsConfig::TIMELINE | ObsConfig::SAMPLING);
     }
 
     #[test]
     fn time_returns_closure_result() {
-        // Must hold regardless of the global enabled state.
         assert_eq!(time("test.time.noop", || 41 + 1), 42);
     }
 }

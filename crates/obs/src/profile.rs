@@ -236,7 +236,7 @@ impl ProfileGraph {
     }
 
     /// Bytes attributed to nodes (excludes the unattributed bucket).
-    pub fn attributed_alloc_bytes(&self) -> u64 {
+    fn attributed_alloc_bytes(&self) -> u64 {
         self.nodes.iter().map(|n| n.alloc_bytes).sum()
     }
 
@@ -260,7 +260,7 @@ impl ProfileGraph {
     }
 
     /// The names along `node`'s call path, outermost first.
-    pub fn path_of(&self, node: usize) -> Vec<String> {
+    fn path_of(&self, node: usize) -> Vec<String> {
         let mut rev = Vec::new();
         let mut cur = Some(node);
         while let Some(n) = cur {
@@ -275,7 +275,7 @@ impl ProfileGraph {
     /// `frame;frame;... self_ns` line per node with nonzero self time,
     /// in depth-first name order. The value is the **self** wall time
     /// in nanoseconds, which is what flamegraph tooling expects.
-    pub fn to_folded(&self) -> String {
+    fn to_folded(&self) -> String {
         let mut out = String::new();
         for (n, _) in self.dfs() {
             let node = &self.nodes[n];
@@ -296,7 +296,7 @@ impl ProfileGraph {
     /// frame table plus two `"sampled"` profiles over it — wall
     /// nanoseconds and allocated bytes — one weighted sample per node
     /// with a nonzero self value.
-    pub fn to_speedscope(&self) -> String {
+    fn to_speedscope(&self) -> String {
         // One shared frame per distinct span name, in sorted order.
         let mut names: Vec<&str> = self.nodes.iter().map(|n| n.name.as_str()).collect();
         names.sort_unstable();
@@ -365,7 +365,7 @@ impl ProfileGraph {
     /// tooltips with count/total/self/alloc detail, no scripts or
     /// external assets. Valid XML for any span-name bytes — names are
     /// escaped.
-    pub fn to_svg(&self) -> String {
+    fn to_svg(&self) -> String {
         const WIDTH: f64 = 1200.0;
         const MARGIN: f64 = 6.0;
         const ROW_H: f64 = 17.0;
@@ -659,7 +659,7 @@ impl FlatProfile {
     }
 
     /// Parses collapsed-stack text (`frame;frame;... value` per line).
-    pub fn from_folded(text: &str) -> Result<FlatProfile, String> {
+    fn from_folded(text: &str) -> Result<FlatProfile, String> {
         let mut out = FlatProfile::default();
         for (i, line) in text.lines().enumerate() {
             let line = line.trim();
@@ -685,7 +685,7 @@ impl FlatProfile {
     /// [`ProfileGraph::to_speedscope`] (or any `"sampled"` speedscope
     /// profile): nanosecond-unit profiles fill `self_ns`, byte-unit
     /// profiles fill `self_bytes`, matched rows merge by stack.
-    pub fn from_speedscope(text: &str) -> Result<FlatProfile, String> {
+    fn from_speedscope(text: &str) -> Result<FlatProfile, String> {
         let doc = serde_json::parse(text).map_err(|e| format!("speedscope document: {e}"))?;
         let top = doc
             .as_object()

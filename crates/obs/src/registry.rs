@@ -1,10 +1,9 @@
 //! The metrics registry: counters, gauges, histograms, span aggregates.
 //!
-//! One [`Registry`] instance holds all telemetry of a process (the
-//! global one lives behind [`crate::global`]). Every mutating entry
-//! point first checks the `enabled` flag with a relaxed atomic load and
-//! returns immediately when telemetry is off, so a disabled registry
-//! costs one predictable branch per call site.
+//! One [`Registry`] holds the metrics of one [`crate::Obs`] handle. It
+//! is a plain recorder: the handle's [`crate::ObsConfig::METRICS`] bit
+//! decides whether instrumentation reaches it at all, so a disabled
+//! handle costs one predictable branch per call site.
 //!
 //! Metrics are keyed by dotted names (`"sim.monitor.samples"`). Maps
 //! are `BTreeMap`s so snapshots iterate in a deterministic order.
@@ -17,7 +16,6 @@
 //! total".
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use hpcpower_stats::Summary;
@@ -70,7 +68,7 @@ impl Histogram {
     }
 
     /// Exclusive upper bound of bucket `i`.
-    pub fn bucket_upper_bound(i: i32) -> f64 {
+    fn bucket_upper_bound(i: i32) -> f64 {
         ((i + 1) as f64 / SUBBUCKETS_PER_OCTAVE as f64).exp2()
     }
 
@@ -186,20 +184,13 @@ struct SpanAgg {
 }
 
 /// A telemetry registry: all counters, gauges, histograms, and span
-/// aggregates of one scope (usually the whole process).
-#[derive(Debug)]
+/// aggregates of one [`crate::Obs`] handle.
+#[derive(Debug, Default)]
 pub struct Registry {
-    enabled: AtomicBool,
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, f64>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     spans: Mutex<BTreeMap<String, SpanAgg>>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -209,10 +200,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Registry {
-    /// Creates a registry with collection disabled.
-    pub fn new() -> Self {
+    /// Creates an empty registry.
+    pub const fn new() -> Self {
         Self {
-            enabled: AtomicBool::new(false),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
@@ -220,22 +210,8 @@ impl Registry {
         }
     }
 
-    /// Whether collection is enabled.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables collection.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Adds `delta` to the monotonic counter `name`.
     pub fn counter_add(&self, name: &str, delta: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut counters = lock(&self.counters);
         match counters.get_mut(name) {
             Some(v) => *v += delta,
@@ -247,26 +223,17 @@ impl Registry {
 
     /// Sets the gauge `name` to `value` (last write wins).
     pub fn gauge_set(&self, name: &str, value: f64) {
-        if !self.is_enabled() {
-            return;
-        }
         lock(&self.gauges).insert(name.to_string(), value);
     }
 
     /// Records `value` into the log-bucketed histogram `name`.
     pub fn histogram_record(&self, name: &str, value: f64) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut hists = lock(&self.histograms);
         hists.entry(name.to_string()).or_default().record(value);
     }
 
     /// Records many values into histogram `name` under one lock.
     pub fn histogram_record_many(&self, name: &str, values: impl IntoIterator<Item = f64>) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut hists = lock(&self.histograms);
         let h = hists.entry(name.to_string()).or_default();
         for v in values {
@@ -279,9 +246,6 @@ impl Registry {
     /// so alternative span sources (and tests) can feed a registry
     /// directly.
     pub fn record_span(&self, name: &str, parent: Option<&str>, nanos: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut spans = lock(&self.spans);
         let agg = spans.entry(name.to_string()).or_default();
         if agg.count == 0 {
@@ -307,7 +271,7 @@ impl Registry {
         }
     }
 
-    /// Clears every metric (the enabled flag is left as is).
+    /// Clears every metric.
     pub fn reset(&self) {
         lock(&self.counters).clear();
         lock(&self.gauges).clear();
@@ -363,23 +327,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let r = Registry::new();
-        r.counter_add("c", 1);
-        r.gauge_set("g", 2.0);
-        r.histogram_record("h", 3.0);
-        r.record_span("s", None, 100);
-        let snap = r.snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.gauges.is_empty());
-        assert!(snap.histograms.is_empty());
-        assert!(snap.spans.is_empty());
-    }
-
-    #[test]
     fn counters_accumulate_and_gauges_overwrite() {
         let r = Registry::new();
-        r.set_enabled(true);
         r.counter_add("jobs", 10);
         r.counter_add("jobs", 5);
         r.gauge_set("depth", 3.0);
@@ -451,7 +400,6 @@ mod tests {
     #[test]
     fn span_aggregation_folds_min_max_total_and_quantiles() {
         let r = Registry::new();
-        r.set_enabled(true);
         r.record_span("stage", None, 10);
         r.record_span("stage", None, 30);
         r.record_span("stage", None, 20);
@@ -469,7 +417,6 @@ mod tests {
     #[test]
     fn span_aggregation_is_thread_safe() {
         let r = std::sync::Arc::new(Registry::new());
-        r.set_enabled(true);
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let r = r.clone();
@@ -493,13 +440,11 @@ mod tests {
     #[test]
     fn reset_clears_all_metrics() {
         let r = Registry::new();
-        r.set_enabled(true);
         r.counter_add("c", 1);
         r.record_span("s", None, 5);
         r.reset();
         let snap = r.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.spans.is_empty());
-        assert!(r.is_enabled(), "reset must not flip the enabled flag");
     }
 }

@@ -79,7 +79,7 @@ impl RetryPolicy {
 /// Whether an I/O error kind is worth retrying: connection-level races
 /// and interrupted/timed-out syscalls are; everything else (not found,
 /// permission denied, disk full, invalid data) is permanent.
-pub fn is_transient(kind: io::ErrorKind) -> bool {
+fn is_transient(kind: io::ErrorKind) -> bool {
     matches!(
         kind,
         io::ErrorKind::ConnectionRefused

@@ -1,12 +1,14 @@
 //! The periodic sampler: a background thread that snapshots metrics
 //! into the sliding-window store at a fixed interval.
 //!
-//! Each tick takes one snapshot via the configured snapshot function,
-//! ingests it into the global [`crate::WindowStore`], bumps the
-//! `obs.sampler.ticks` counter, and — when an alert engine is attached
-//! — runs one evaluation pass so rules advance exactly once per
-//! sample. The first tick happens immediately on start, so even a
-//! short-lived command leaves at least one sample behind.
+//! The sampler thread runs under the [`crate::Obs`] handle that was
+//! current when it started. Each tick takes one snapshot via the
+//! configured snapshot function, ingests it into that handle's
+//! [`crate::WindowStore`], bumps the `obs.sampler.ticks` counter, and —
+//! when an alert engine is attached — runs one evaluation pass so rules
+//! advance exactly once per sample. The first tick happens immediately
+//! on start, so even a short-lived command leaves at least one sample
+//! behind.
 //!
 //! The sampler is an *observer*: it never writes anything the pipeline
 //! reads, so dataset and report bytes are identical with it running or
@@ -22,19 +24,20 @@ use std::time::Duration;
 
 use crate::alerts::AlertEngine;
 use crate::snapshot::Snapshot;
-use crate::store;
 
-/// Shared `Snapshot` source: the live registry for real services, a
-/// parsed metrics document for `obs serve --metrics FILE`.
+/// Shared `Snapshot` source: the live registry ([`crate::snapshot`])
+/// for real services, a parsed metrics document for
+/// `obs serve --metrics FILE`.
 pub type SnapshotFn = Arc<dyn Fn() -> Snapshot + Send + Sync>;
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct StopSignal {
     stopped: Mutex<bool>,
     cv: Condvar,
 }
 
 /// Handle to a running background sampler thread; stops on drop.
+#[derive(Debug)]
 pub struct Sampler {
     signal: Arc<StopSignal>,
     handle: Option<JoinHandle<()>>,
@@ -50,28 +53,32 @@ impl Sampler {
     ) -> Sampler {
         let signal = Arc::new(StopSignal::default());
         let thread_signal = Arc::clone(&signal);
+        let obs = crate::current();
         let handle = std::thread::Builder::new()
             .name("obs-sampler".to_string())
-            .spawn(move || loop {
-                let snap = snapshot_fn();
-                crate::ingest_sample(&snap);
-                crate::counter_add("obs.sampler.ticks", 1);
-                if let Some(engine) = &engine {
-                    let mut engine = engine
+            .spawn(move || {
+                let _obs = obs.install();
+                loop {
+                    let snap = snapshot_fn();
+                    obs.ingest_sample(&snap);
+                    crate::counter_add("obs.sampler.ticks", 1);
+                    if let Some(engine) = &engine {
+                        let mut engine = engine
+                            .lock()
+                            .unwrap_or_else(std::sync::PoisonError::into_inner);
+                        obs.evaluate_alerts(&mut engine);
+                    }
+                    let stopped = thread_signal
+                        .stopped
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    engine.evaluate(store::global_store(), Some(crate::global()));
-                }
-                let stopped = thread_signal
-                    .stopped
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let (stopped, _) = thread_signal
-                    .cv
-                    .wait_timeout_while(stopped, interval, |s| !*s)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if *stopped {
-                    break;
+                    let (stopped, _) = thread_signal
+                        .cv
+                        .wait_timeout_while(stopped, interval, |s| !*s)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    if *stopped {
+                        break;
+                    }
                 }
             })
             .expect("spawn obs-sampler thread");
@@ -79,14 +86,6 @@ impl Sampler {
             signal,
             handle: Some(handle),
         }
-    }
-
-    /// Starts a sampler over the global registry snapshot.
-    pub fn start_global(
-        interval: Duration,
-        engine: Option<Arc<Mutex<AlertEngine>>>,
-    ) -> Sampler {
-        Sampler::start(interval, Arc::new(crate::snapshot), engine)
     }
 
     /// Signals the thread to stop and joins it. Idempotent.
@@ -112,21 +111,13 @@ impl Drop for Sampler {
     }
 }
 
-impl std::fmt::Debug for Sampler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sampler")
-            .field("running", &self.handle.is_some())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Global-store sampling is exercised end-to-end in
-    /// `tests/live_service.rs` (the store is process-wide state); here
-    /// we only check the thread lifecycle with a custom snapshot fn.
+    /// Sampling into a handle's store is exercised end-to-end in
+    /// `tests/live_service.rs`; here we only check the thread lifecycle
+    /// with a custom snapshot fn.
     #[test]
     fn sampler_ticks_and_stops_promptly() {
         use std::sync::atomic::{AtomicU64, Ordering};

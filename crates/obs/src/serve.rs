@@ -36,9 +36,12 @@
 //!    `/quit` is always honored — an operator can always shut the
 //!    server down, no matter how overloaded it is.
 //!
-//! The server only ever *reads* telemetry state; like the sampler it
-//! never participates in pipeline computation, so serving cannot
-//! change dataset or report bytes.
+//! The server threads run under the [`crate::Obs`] handle that was
+//! current when [`MetricsServer::start`] ran, so `/healthz` and the
+//! `obs.serve.*` counters describe that handle. The server only ever
+//! *reads* telemetry state; like the sampler it never participates in
+//! pipeline computation, so serving cannot change dataset or report
+//! bytes.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -50,7 +53,6 @@ use std::time::Duration;
 use crate::alerts::AlertEngine;
 use crate::export::prometheus;
 use crate::sampler::SnapshotFn;
-use crate::store;
 
 /// Maximum accepted request head (request line + headers), bytes.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
@@ -86,8 +88,9 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// State serving the global registry with no alert engine.
-    pub fn global() -> Self {
+    /// State serving the live snapshot of the server's handle, with no
+    /// alert engine.
+    pub fn live() -> Self {
         Self {
             snapshot_fn: Arc::new(crate::snapshot),
             engine: None,
@@ -127,9 +130,11 @@ impl MetricsServer {
         let inflight = Arc::new(AtomicUsize::new(0));
         let accept_stop = Arc::clone(&stop);
         let accept_quit = Arc::clone(&quit_requested);
+        let obs = crate::current();
         let accept_handle = std::thread::Builder::new()
             .name("obs-serve".to_string())
             .spawn(move || {
+                let _obs = obs.install();
                 for conn in listener.incoming() {
                     if accept_stop.load(Ordering::Relaxed) {
                         break;
@@ -148,9 +153,11 @@ impl MetricsServer {
                     let state = state.clone();
                     let quit = Arc::clone(&accept_quit);
                     let options = options.clone();
+                    let obs = obs.clone();
                     let spawned = std::thread::Builder::new()
                         .name("obs-serve-conn".to_string())
                         .spawn(move || {
+                            let _obs = obs.install();
                             handle_connection(stream, &state, &quit, &options, &conn_inflight);
                             conn_inflight.fetch_sub(1, Ordering::Relaxed);
                         });
@@ -407,7 +414,8 @@ fn write_response(stream: &mut TcpStream, response: &Response) {
 
 fn healthz_body(state: &ServeState) -> String {
     let snap = (state.snapshot_fn)();
-    let store = store::global_store();
+    let obs = crate::current();
+    let store = obs.store();
     let quarantined = snap.counter("repair.rows_quarantined").unwrap_or(0)
         + snap.counter("trace.ingest.rows_quarantined").unwrap_or(0);
     let (firing, pending) = match &state.engine {
@@ -426,8 +434,8 @@ fn healthz_body(state: &ServeState) -> String {
         crate::snapshot::json_f64(crate::uptime_seconds()),
         store.samples(),
         store.dropped(),
-        crate::timeline_snapshot().dropped,
-        crate::timeline_enabled(),
+        obs.timeline_snapshot().dropped,
+        obs.config().contains(crate::ObsConfig::TIMELINE),
         alloc.enabled,
         alloc.peak_bytes,
     )
@@ -435,7 +443,7 @@ fn healthz_body(state: &ServeState) -> String {
 
 /// Minimal HTTP/1.1 GET client for tests and smoke checks: returns
 /// `(status, headers, body)`.
-pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String, String)> {
+pub(crate) fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String, String)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;

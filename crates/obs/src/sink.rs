@@ -100,7 +100,6 @@ mod tests {
     #[test]
     fn render_dispatches_by_format() {
         let r = Registry::new();
-        r.set_enabled(true);
         r.counter_add("sink.test.counter", 1);
         let snap = r.snapshot();
         assert!(render(&snap, LogFormat::Text).contains("counters:"));

@@ -170,7 +170,7 @@ impl Snapshot {
     /// Sets (or replaces) the gauge `name`, keeping the vector
     /// name-sorted — used to inject derived gauges like
     /// `obs.process.uptime_seconds` without touching the registry.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
+    pub(crate) fn set_gauge(&mut self, name: &str, value: f64) {
         match self.gauges.binary_search_by(|(k, _)| k.as_str().cmp(name)) {
             Ok(i) => self.gauges[i].1 = value,
             Err(i) => self.gauges.insert(i, (name.to_string(), value)),
@@ -180,7 +180,7 @@ impl Snapshot {
     /// Sets (or replaces) the counter `name`, keeping the vector
     /// name-sorted — used to inject derived counters like the
     /// `obs.alloc.*` totals, which live outside the registry.
-    pub fn set_counter(&mut self, name: &str, value: u64) {
+    pub(crate) fn set_counter(&mut self, name: &str, value: u64) {
         match self.counters.binary_search_by(|(k, _)| k.as_str().cmp(name)) {
             Ok(i) => self.counters[i].1 = value,
             Err(i) => self.counters.insert(i, (name.to_string(), value)),
@@ -549,7 +549,6 @@ mod tests {
 
     fn sample_registry() -> Registry {
         let r = Registry::new();
-        r.set_enabled(true);
         r.counter_add("b.counter", 7);
         r.counter_add("a.counter", 3);
         r.gauge_set("z.gauge", 0.5);

@@ -2,19 +2,22 @@
 //!
 //! [`SpanGuard::enter`] (usually via the [`crate::span!`] macro) starts
 //! the clock and pushes the span onto a thread-local stack; the guard's
-//! `Drop` pops the stack and folds the elapsed time into the global
-//! registry, recording the enclosing span (if any) as parent.
+//! `Drop` pops the stack and folds the elapsed time into the current
+//! handle's registry (see [`crate::current`]), recording the enclosing
+//! span (if any) as parent.
 //!
-//! Every live span also carries a process-unique id. When the event
-//! timeline is enabled (see [`crate::timeline`]), entering and dropping
+//! Every live span also carries a process-unique id. When the handle's
+//! timeline is on (see [`crate::timeline`]), entering and dropping
 //! a guard records individual Begin/End events carrying that id and the
 //! parent's — this is what the Chrome trace exporter replays.
 //!
 //! The stack is per thread, so nesting is tracked within a thread only:
 //! a span opened inside a rayon worker closure sees whatever is active
 //! *on that worker*, not the span that spawned the parallel region.
-//! Aggregation is global either way — any thread may open any span name
-//! concurrently, and the per-name totals fold under the registry lock.
+//! The rayon shim installs the caller's handle in its workers, so their
+//! spans still aggregate into the caller's registry — any thread may
+//! open any span name concurrently, and the per-name totals fold under
+//! the registry lock.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -63,7 +66,8 @@ impl SpanGuard {
     /// with metrics collection off.
     pub fn enter(name: &str) -> SpanGuard {
         crate::watchdog::beat_if_armed();
-        if !crate::enabled() {
+        let obs = crate::current();
+        if obs.metrics().is_none() {
             return SpanGuard { live: None };
         }
         let span_id = timeline::next_span_id();
@@ -79,10 +83,12 @@ impl SpanGuard {
                 None => (None, None),
             }
         });
-        timeline::global_timeline().record(EventKind::Begin, name, span_id, parent_id);
+        if let Some(t) = obs.events() {
+            t.record(EventKind::Begin, name, span_id, parent_id);
+        }
         // With the allocation gate on, this span becomes the innermost
         // attribution scope until it drops.
-        let prev_alloc_slot = if crate::alloc::is_enabled() {
+        let prev_alloc_slot = if crate::alloc::recording() {
             Some(crate::alloc::enter_scope(name))
         } else {
             None
@@ -97,16 +103,6 @@ impl SpanGuard {
                 start: Instant::now(),
             }),
         }
-    }
-
-    /// The span name, if the guard is live.
-    pub fn name(&self) -> Option<&str> {
-        self.live.as_ref().map(|l| l.name.as_str())
-    }
-
-    /// The process-unique span id, if the guard is live.
-    pub fn span_id(&self) -> Option<u64> {
-        self.live.as_ref().map(|l| l.span_id)
     }
 }
 
@@ -130,15 +126,15 @@ impl Drop for SpanGuard {
                 stack.remove(pos);
             }
         });
-        timeline::global_timeline().record(
-            EventKind::End,
-            &live.name,
-            live.span_id,
-            live.parent_id,
-        );
-        // Recording is still gated inside the registry: if telemetry
-        // was disabled while the span was open, nothing is written.
-        crate::global().record_span(&live.name, live.parent.as_deref(), elapsed_ns);
+        // Gated again at drop: if telemetry was turned off while the
+        // span was open, nothing is written.
+        let obs = crate::current();
+        if let Some(t) = obs.events() {
+            t.record(EventKind::End, &live.name, live.span_id, live.parent_id);
+        }
+        if let Some(r) = obs.metrics() {
+            r.record_span(&live.name, live.parent.as_deref(), elapsed_ns);
+        }
     }
 }
 
@@ -146,19 +142,20 @@ impl Drop for SpanGuard {
 mod tests {
     use super::*;
 
-    // Global-registry span behaviour (nesting, parents) is covered by
-    // `crate::tests::global_api_end_to_end`; here we only pin the
-    // disabled-guard contract, which must hold no matter what other
-    // tests do to the global enabled flag concurrently.
+    // Span nesting and parents are covered by the handle tests in
+    // `crate::tests`; here we pin the stack discipline.
 
     #[test]
     fn stack_is_balanced_after_guard_drop() {
-        // Holds whether or not telemetry is enabled: a live guard pops
-        // what it pushed, an inert guard pushes nothing.
-        {
-            let _g = SpanGuard::enter("span.test.balance");
+        // A live guard pops what it pushed, an inert guard pushes
+        // nothing.
+        for config in [crate::ObsConfig::OFF, crate::ObsConfig::METRICS] {
+            let _obs = crate::scoped(config);
+            {
+                let _g = SpanGuard::enter("span.test.balance");
+            }
+            let depth = SPAN_STACK.with(|s| s.borrow().len());
+            assert_eq!(depth, 0, "guard must pop exactly what it pushed");
         }
-        let depth = SPAN_STACK.with(|s| s.borrow().len());
-        assert_eq!(depth, 0, "guard must pop exactly what it pushed");
     }
 }

@@ -13,19 +13,19 @@
 //! full the *oldest* point is overwritten and the ring's drop counter
 //! increments — truncation is never silent:
 //! [`WindowSnapshot::dropped`] and `/healthz`'s `window_dropped` field
-//! report the total. The global store's per-metric capacity can be
-//! overridden once at process start with the
-//! `HPCPOWER_OBS_WINDOW_CAPACITY` environment variable.
+//! report the total. A handle's per-metric capacity can be overridden
+//! with the `HPCPOWER_OBS_WINDOW_CAPACITY` environment variable, read
+//! when the store is first built.
 //!
 //! ## Gating discipline
 //!
-//! Same contract as the timeline: the store is off by default and
-//! off-cheap. [`crate::sample_now`] checks one relaxed atomic load and
-//! returns immediately when sampling is disabled — no locks, no
-//! allocation, no clock reads (asserted in `tests/overhead.rs`). The
-//! store only ever *reads* registry snapshots; it never participates
-//! in pipeline computation, so dataset and report bytes are identical
-//! with sampling on or off.
+//! The store is a plain recorder; its handle's
+//! [`crate::ObsConfig::SAMPLING`] bit gates it, off by default.
+//! [`crate::sample_now`] checks that bit and returns immediately when
+//! sampling is off — no locks, no allocation, no clock reads (asserted
+//! in `tests/overhead.rs`). The store only ever *reads* registry
+//! snapshots; it never participates in pipeline computation, so
+//! dataset and report bytes are identical with sampling on or off.
 //!
 //! ## Timestamps
 //!
@@ -35,8 +35,7 @@
 //! by construction even if two samplers race.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::snapshot::Snapshot;
 
@@ -126,7 +125,6 @@ impl WindowSnapshot {
 /// A bounded sliding-window store of per-metric sample rings.
 #[derive(Debug)]
 pub struct WindowStore {
-    enabled: AtomicBool,
     capacity: usize,
     inner: Mutex<StoreInner>,
 }
@@ -137,46 +135,20 @@ fn lock(m: &Mutex<StoreInner>) -> MutexGuard<'_, StoreInner> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-impl Default for WindowStore {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_WINDOW_CAPACITY)
-    }
-}
-
 impl WindowStore {
-    /// Creates a disabled store retaining at most `capacity` points
-    /// per metric (at least one).
+    /// Creates a store retaining at most `capacity` points per metric
+    /// (at least one).
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            enabled: AtomicBool::new(false),
             capacity: capacity.max(1),
             inner: Mutex::new(StoreInner::default()),
         }
     }
 
-    /// Whether sampling into this store is on.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns sampling on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Points retained per metric.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Ingests one registry snapshot at `ts_ns`: every counter (as
     /// f64), every gauge, and each histogram's `.count`/`.p99` derived
-    /// series gain one point. No-op when disabled.
+    /// series gain one point.
     pub fn ingest(&self, snap: &Snapshot, ts_ns: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut inner = lock(&self.inner);
         let ts_ns = ts_ns.max(inner.last_ts_ns);
         inner.last_ts_ns = ts_ns;
@@ -236,32 +208,13 @@ impl WindowStore {
         }
     }
 
-    /// Clears every series and the counters (the enabled flag is left
-    /// as is).
+    /// Clears every series and the counters.
     pub fn reset(&self) {
         let mut inner = lock(&self.inner);
         inner.series.clear();
         inner.samples = 0;
         inner.last_ts_ns = 0;
     }
-}
-
-static GLOBAL_STORE: OnceLock<WindowStore> = OnceLock::new();
-
-/// The process-wide window store the sampler feeds.
-///
-/// Per-metric capacity is [`DEFAULT_WINDOW_CAPACITY`] unless the
-/// `HPCPOWER_OBS_WINDOW_CAPACITY` environment variable overrides it
-/// (read once, on first use).
-pub fn global_store() -> &'static WindowStore {
-    GLOBAL_STORE.get_or_init(|| {
-        let cap = std::env::var("HPCPOWER_OBS_WINDOW_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_WINDOW_CAPACITY);
-        WindowStore::with_capacity(cap)
-    })
 }
 
 #[cfg(test)]
@@ -271,7 +224,6 @@ mod tests {
 
     fn snap_with(counter: u64, gauge: f64) -> Snapshot {
         let r = Registry::new();
-        r.set_enabled(true);
         r.counter_add("t.counter", counter);
         r.gauge_set("t.gauge", gauge);
         r.histogram_record("t.hist", gauge);
@@ -279,17 +231,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_store_ingests_nothing() {
-        let s = WindowStore::with_capacity(8);
-        s.ingest(&snap_with(1, 2.0), 10);
-        assert_eq!(s.samples(), 0);
-        assert!(s.snapshot().series.is_empty());
-    }
-
-    #[test]
     fn ingest_records_counters_gauges_and_histogram_derivatives() {
         let s = WindowStore::with_capacity(8);
-        s.set_enabled(true);
         s.ingest(&snap_with(3, 1.5), 10);
         s.ingest(&snap_with(5, 2.5), 20);
         assert_eq!(s.samples(), 2);
@@ -306,7 +249,6 @@ mod tests {
     #[test]
     fn ring_wrap_drops_oldest_and_counts() {
         let s = WindowStore::with_capacity(3);
-        s.set_enabled(true);
         for i in 0..7u64 {
             s.ingest(&snap_with(i, i as f64), i * 10);
         }
@@ -326,7 +268,6 @@ mod tests {
     #[test]
     fn timestamps_are_clamped_monotonic() {
         let s = WindowStore::with_capacity(4);
-        s.set_enabled(true);
         s.ingest(&snap_with(1, 0.0), 100);
         s.ingest(&snap_with(2, 0.0), 50); // clock went "backwards"
         let pts = s.values("t.counter");
@@ -336,7 +277,6 @@ mod tests {
     #[test]
     fn reset_clears_series_and_counters() {
         let s = WindowStore::with_capacity(2);
-        s.set_enabled(true);
         for i in 0..5u64 {
             s.ingest(&snap_with(i, 0.0), i);
         }
@@ -345,13 +285,11 @@ mod tests {
         assert_eq!(s.samples(), 0);
         assert_eq!(s.dropped(), 0);
         assert!(s.snapshot().series.is_empty());
-        assert!(s.is_enabled(), "reset must not flip the enabled flag");
     }
 
     #[test]
     fn window_snapshot_lookup_by_name() {
         let s = WindowStore::with_capacity(4);
-        s.set_enabled(true);
         s.ingest(&snap_with(1, 9.0), 5);
         let ws = s.snapshot();
         assert_eq!(ws.samples, 1);

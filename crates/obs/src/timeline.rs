@@ -18,15 +18,14 @@
 //! shard is overwritten and the shard's drop counter increments —
 //! truncation is never silent: [`TimelineSnapshot::dropped`] reports
 //! the total, and the Chrome exporter embeds it in the trace metadata.
-//! The global timeline's capacity can be overridden once at process
-//! start with the `HPCPOWER_OBS_TIMELINE_CAPACITY` environment
-//! variable.
+//! A handle's timeline capacity can be overridden with the
+//! `HPCPOWER_OBS_TIMELINE_CAPACITY` environment variable, read when the
+//! ring is first built.
 //!
-//! Recording is gated by its own flag ([`Timeline::set_enabled`],
-//! reachable via [`crate::enable_timeline`]) *in addition to* the
-//! registry's: timelines cost two events and one shard lock per span,
-//! so they stay off unless an exporter (e.g. the CLI's `--trace-out`)
-//! asked for them.
+//! Recording is gated by its own bit, [`crate::ObsConfig::TIMELINE`],
+//! *in addition to* [`crate::ObsConfig::METRICS`]: timelines cost two
+//! events and one shard lock per span, so they stay off unless an
+//! exporter (e.g. the CLI's `--trace-out`) asked for them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -34,9 +33,9 @@ use std::time::Instant;
 
 /// Number of lock shards. A thread always records into
 /// `tid % SHARDS`, so contention is bounded by threads-per-shard.
-pub const SHARDS: usize = 8;
+const SHARDS: usize = 8;
 
-/// Default total event capacity of the global timeline (split evenly
+/// Default total event capacity of a handle's timeline (split evenly
 /// across shards). Two events per span — the default holds the last
 /// ~32k completed spans.
 pub const DEFAULT_CAPACITY: usize = 65_536;
@@ -115,7 +114,6 @@ impl Shard {
 /// A bounded, lock-sharded span event recorder.
 #[derive(Debug)]
 pub struct Timeline {
-    enabled: std::sync::atomic::AtomicBool,
     shards: Vec<Mutex<Shard>>,
     next_seq: AtomicU64,
 }
@@ -126,41 +124,19 @@ fn lock(m: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-impl Default for Timeline {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-}
-
 impl Timeline {
-    /// Creates a disabled timeline holding at most `capacity` events
-    /// (at least one per shard).
+    /// Creates a timeline holding at most `capacity` events (at least
+    /// one per shard).
     pub fn with_capacity(capacity: usize) -> Self {
         let per_shard = (capacity / SHARDS).max(1);
         Self {
-            enabled: std::sync::atomic::AtomicBool::new(false),
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
             next_seq: AtomicU64::new(0),
         }
     }
 
-    /// Whether event recording is on.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns event recording on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Records one event now, on the current thread. No-op when
-    /// disabled.
+    /// Records one event now, on the current thread.
     pub fn record(&self, kind: EventKind, name: &str, span_id: u64, parent_id: Option<u64>) {
-        if !self.is_enabled() {
-            return;
-        }
         let tid = current_tid();
         let ev = TimelineEvent {
             kind,
@@ -188,8 +164,7 @@ impl Timeline {
         TimelineSnapshot { events, dropped }
     }
 
-    /// Clears all retained events and the drop counters (the enabled
-    /// flag is left as is).
+    /// Clears all retained events and the drop counters.
     pub fn reset(&self) {
         for shard in &self.shards {
             let mut s = lock(shard);
@@ -200,28 +175,11 @@ impl Timeline {
     }
 }
 
-static GLOBAL_TIMELINE: OnceLock<Timeline> = OnceLock::new();
-
-/// The process-wide timeline every span guard reports to.
-///
-/// Capacity is [`DEFAULT_CAPACITY`] unless the
-/// `HPCPOWER_OBS_TIMELINE_CAPACITY` environment variable overrides it
-/// (read once, on first use).
-pub fn global_timeline() -> &'static Timeline {
-    GLOBAL_TIMELINE.get_or_init(|| {
-        let cap = std::env::var("HPCPOWER_OBS_TIMELINE_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        Timeline::with_capacity(cap)
-    })
-}
-
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Nanoseconds since the process-wide monotonic epoch (the first call
-/// to any timeline entry point).
+/// Nanoseconds since the process epoch: the first telemetry clock read
+/// in the process. Event timestamps, window-store samples, watchdog
+/// beats and [`crate::uptime_seconds`] all count from it.
 pub fn now_ns() -> u64 {
     let epoch = EPOCH.get_or_init(Instant::now);
     epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
@@ -235,14 +193,14 @@ thread_local! {
 
 /// Stable small integer id of the current thread (assigned on first
 /// use, never reused within a process).
-pub fn current_tid() -> u64 {
+fn current_tid() -> u64 {
     TID.with(|t| *t)
 }
 
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Allocates a fresh process-unique span id.
-pub fn next_span_id() -> u64 {
+pub(crate) fn next_span_id() -> u64 {
     NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
 }
 
@@ -258,18 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_timeline_records_nothing() {
-        let t = Timeline::with_capacity(64);
-        record_span(&t, "x", None);
-        let snap = t.snapshot();
-        assert!(snap.events.is_empty());
-        assert_eq!(snap.dropped, 0);
-    }
-
-    #[test]
     fn events_carry_ids_and_monotonic_timestamps() {
         let t = Timeline::with_capacity(64);
-        t.set_enabled(true);
         let outer = record_span(&t, "outer", None);
         let inner = record_span(&t, "inner", Some(outer));
         let snap = t.snapshot();
@@ -292,7 +240,6 @@ mod tests {
         // Single-thread test: all events land in one shard, whose
         // capacity is 32/SHARDS = 4 events.
         let t = Timeline::with_capacity(32);
-        t.set_enabled(true);
         for i in 0..10 {
             let id = next_span_id();
             t.record(EventKind::Begin, &format!("s{i}"), id, None);
@@ -308,7 +255,6 @@ mod tests {
     #[test]
     fn reset_clears_events_and_drop_counter() {
         let t = Timeline::with_capacity(8);
-        t.set_enabled(true);
         for _ in 0..20 {
             record_span(&t, "x", None);
         }
@@ -317,13 +263,11 @@ mod tests {
         let snap = t.snapshot();
         assert!(snap.events.is_empty());
         assert_eq!(snap.dropped, 0);
-        assert!(t.is_enabled(), "reset must not flip the enabled flag");
     }
 
     #[test]
     fn concurrent_recording_is_safe_and_complete_under_capacity() {
         let t = std::sync::Arc::new(Timeline::with_capacity(100_000));
-        t.set_enabled(true);
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let t = t.clone();

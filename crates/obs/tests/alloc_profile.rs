@@ -2,11 +2,12 @@
 //! `ProfiledAllocator` as its global allocator, so heap traffic made
 //! inside spans really flows through the recording path.
 //!
-//! The allocation gate and its counters are process-global, and tests
-//! within a binary run concurrently — so everything lives in ONE test
-//! function with explicit phases instead of several racing ones.
+//! The allocation gate (the process handle's `ALLOC` bit) and its
+//! counters are process-wide — there is one global allocator — so
+//! everything lives in ONE test function with explicit phases instead
+//! of several racing ones.
 
-use hpcpower_obs::{alloc, ProfiledAllocator};
+use hpcpower_obs::{alloc, ObsConfig, ProfiledAllocator};
 
 #[global_allocator]
 static ALLOC: ProfiledAllocator = ProfiledAllocator;
@@ -19,8 +20,10 @@ fn churn(n: usize) -> usize {
 
 #[test]
 fn allocator_attributes_traffic_to_spans() {
+    // No scoped handle is installed, so this is the process handle.
+    let obs = hpcpower_obs::current();
     // Phase 1: gate off — the wrapper must record nothing.
-    assert!(!alloc::is_enabled(), "gate starts disabled");
+    assert!(!obs.config().contains(ObsConfig::ALLOC), "gate starts disabled");
     let before = alloc::totals();
     std::hint::black_box(churn(64 * 1024));
     assert_eq!(
@@ -31,8 +34,7 @@ fn allocator_attributes_traffic_to_spans() {
 
     // Phase 2: gate on, traffic inside a nested span pair. Spans only
     // switch the attribution slot when registry telemetry is live too.
-    hpcpower_obs::enable();
-    alloc::set_enabled(true);
+    obs.set_config(ObsConfig::METRICS | ObsConfig::ALLOC);
     alloc::reset();
     const INNER_BYTES: usize = 1 << 20; // 1 MiB in one shot
     {
@@ -44,8 +46,7 @@ fn allocator_attributes_traffic_to_spans() {
         }
     }
     let snap = alloc::snapshot();
-    alloc::set_enabled(false);
-    hpcpower_obs::disable();
+    obs.set_config(ObsConfig::OFF);
 
     assert!(snap.enabled);
     assert!(
@@ -86,22 +87,21 @@ fn allocator_attributes_traffic_to_spans() {
 
     // Phase 3: the obs.alloc.* metrics ride a registry snapshot while
     // both gates are on.
-    hpcpower_obs::enable();
-    alloc::set_enabled(true);
+    obs.set_config(ObsConfig::METRICS | ObsConfig::ALLOC);
     let metrics = hpcpower_obs::snapshot();
     assert!(
         metrics.counter("obs.alloc.allocations").unwrap_or(0) > 0,
         "obs.alloc.allocations injected into the snapshot"
     );
     assert!(metrics.gauge("obs.alloc.peak_bytes").unwrap_or(0.0) >= INNER_BYTES as f64);
-    alloc::set_enabled(false);
+    obs.set_config(ObsConfig::METRICS);
     let without = hpcpower_obs::snapshot();
     assert_eq!(
         without.counter("obs.alloc.allocations"),
         None,
         "obs.alloc.* only appear while the gate is on"
     );
-    hpcpower_obs::disable();
+    obs.set_config(ObsConfig::OFF);
 
     // Phase 4: reset zeroes the stats but keeps interned paths valid.
     alloc::reset();

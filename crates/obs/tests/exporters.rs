@@ -8,30 +8,36 @@
 //! consistency), which the negative cases prove actually rejects
 //! malformed expositions rather than waving everything through.
 
-use hpcpower_obs::export::{chrome_trace, lint_prometheus, prometheus, sanitize_metric_name};
+use hpcpower_obs::export::{chrome_trace, lint_prometheus, prometheus};
 use hpcpower_obs::timeline::EventKind;
-use hpcpower_obs::{Registry, TimelineEvent, TimelineSnapshot};
+use hpcpower_obs::{ObsConfig, Registry, TimelineEvent, TimelineSnapshot};
 use serde_json::Value;
 
 // ---------------------------------------------------------------- chrome
 
-/// Runs nested + threaded spans through the *global* registry and
+/// Span ids for hand-recorded timelines.
+fn next_span_id() -> u64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Runs nested + threaded spans through a handle's registry and
 /// timeline exactly as the CLI does with `--trace-out`, then round-trips
-/// the export through the JSON parser.
-///
-/// One test owns all global-timeline behaviour: the test harness runs
-/// `#[test]` fns concurrently and the timeline is process-wide state.
+/// the export through the JSON parser. The handle is scoped to this
+/// test (and carried into its threads), so concurrently running tests
+/// cannot add events to it.
 #[test]
 fn chrome_trace_round_trips_and_balances() {
-    hpcpower_obs::reset();
-    hpcpower_obs::enable();
-    hpcpower_obs::enable_timeline();
+    let obs = hpcpower_obs::scoped(ObsConfig::METRICS | ObsConfig::TIMELINE);
     {
         let _outer = hpcpower_obs::span!("export.test.outer");
         let _inner = hpcpower_obs::span!("export.test.inner");
         let threads: Vec<_> = (0..3)
             .map(|_| {
-                std::thread::spawn(|| {
+                let handle = hpcpower_obs::current();
+                std::thread::spawn(move || {
+                    let _obs = handle.install();
                     for _ in 0..5 {
                         let _w = hpcpower_obs::span!("export.test.worker");
                     }
@@ -42,9 +48,7 @@ fn chrome_trace_round_trips_and_balances() {
             t.join().unwrap();
         }
     }
-    let snap = hpcpower_obs::timeline_snapshot();
-    hpcpower_obs::disable_timeline();
-    hpcpower_obs::disable();
+    let snap = obs.timeline_snapshot();
     assert_eq!(snap.dropped, 0, "tiny workload must not wrap the ring");
 
     let text = chrome_trace(&snap);
@@ -160,7 +164,6 @@ fn chrome_trace_escapes_names() {
 /// must still emit a trace whose per-tid B/E replay balances.
 #[test]
 fn chrome_trace_balances_deeply_nested_spans_after_ring_wrap() {
-    use hpcpower_obs::timeline::next_span_id;
     use hpcpower_obs::Timeline;
 
     const DEPTH: usize = 5;
@@ -180,7 +183,6 @@ fn chrome_trace_balances_deeply_nested_spans_after_ring_wrap() {
     // 6 per-shard slots, far below 6 threads x 8 rounds x 10 events:
     // every shard wraps many times over.
     let t = Timeline::with_capacity(48);
-    t.set_enabled(true);
     std::thread::scope(|s| {
         for _ in 0..6 {
             s.spawn(|| {
@@ -224,11 +226,9 @@ fn chrome_trace_balances_deeply_nested_spans_after_ring_wrap() {
 /// with every level matched — the full stack depth survives export.
 #[test]
 fn chrome_trace_preserves_full_nesting_depth_across_threads() {
-    use hpcpower_obs::timeline::next_span_id;
     use hpcpower_obs::Timeline;
 
     let t = Timeline::with_capacity(65_536);
-    t.set_enabled(true);
     std::thread::scope(|s| {
         for _ in 0..4 {
             s.spawn(|| {
@@ -285,7 +285,6 @@ fn chrome_trace_preserves_full_nesting_depth_across_threads() {
 #[test]
 fn prometheus_export_passes_the_linter() {
     let r = Registry::new();
-    r.set_enabled(true);
     r.counter_add("sim.jobs.placed", 42);
     r.gauge_set("sim.queue.depth", 7.5);
     for v in [0.5, 1.0, 2.0, 250.0, 300.0, 1e6] {
@@ -315,9 +314,14 @@ fn prometheus_export_of_empty_snapshot_is_clean() {
 
 #[test]
 fn sanitizer_maps_names_into_the_prometheus_charset() {
-    assert_eq!(sanitize_metric_name("sim.jobs.placed"), "sim_jobs_placed");
-    assert_eq!(sanitize_metric_name("power/node-w"), "power_node_w");
-    assert_eq!(sanitize_metric_name("0weird"), "_0weird");
+    let r = Registry::new();
+    for name in ["sim.jobs.placed", "power/node-w", "0weird"] {
+        r.counter_add(name, 1);
+    }
+    let text = prometheus(&r.snapshot());
+    for exposed in ["sim_jobs_placed_total 1", "power_node_w_total 1", "_0weird_total 1"] {
+        assert!(text.lines().any(|l| l == exposed), "{exposed:?} missing from:\n{text}");
+    }
 }
 
 // The linter must reject malformed expositions — otherwise the positive
@@ -432,7 +436,6 @@ fn linter_accepts_escaped_label_values() {
 #[test]
 fn prometheus_exports_profiler_meta_metrics() {
     let r = Registry::new();
-    r.set_enabled(true);
     r.counter_add("obs.alloc.allocations", 1234);
     r.counter_add("obs.alloc.allocated_bytes", 1 << 20);
     r.gauge_set("obs.alloc.peak_bytes", 524_288.0);
@@ -468,7 +471,6 @@ fn linter_rejects_dotted_profiler_metric_names() {
 #[test]
 fn prometheus_build_info_is_emitted_and_escaped() {
     let r = Registry::new();
-    r.set_enabled(true);
     r.counter_add("c", 1);
     let mut snap = r.snapshot();
     snap.build_info = Some(hpcpower_obs::BuildInfo {
@@ -494,7 +496,6 @@ fn prometheus_build_info_is_emitted_and_escaped() {
 #[test]
 fn prometheus_help_text_is_escaped() {
     let r = Registry::new();
-    r.set_enabled(true);
     r.counter_add("weird\\name\nwith.newline", 1);
     let text = prometheus(&r.snapshot());
     lint_prometheus(&text).unwrap_or_else(|e| panic!("lint failed: {e}\n---\n{text}"));

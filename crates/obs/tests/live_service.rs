@@ -1,10 +1,8 @@
 //! End-to-end tests of the live-telemetry layer: the HTTP endpoint's
-//! routes and bounds, and the sampler feeding the global window store.
+//! routes and bounds, and the sampler feeding a handle's window store.
 //!
-//! The window store and registry are process-wide state, so the one
-//! test that flips the global sampling gate owns *all* global-store
-//! assertions; the server tests use a fixed snapshot function and only
-//! read global state.
+//! The sampler test runs under its own scoped handle, which the sampler
+//! thread carries; the server tests use a fixed snapshot function.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -12,8 +10,8 @@ use std::time::Duration;
 use hpcpower_obs::alerts::{parse_rules, AlertEngine, AlertState};
 use hpcpower_obs::export::{lint_prometheus, prometheus};
 use hpcpower_obs::{
-    http_get_retry, MetricsServer, Registry, RetryPolicy, Sampler, ServeOptions, ServeState,
-    Snapshot,
+    http_get_retry, MetricsServer, ObsConfig, Registry, RetryPolicy, Sampler, ServeOptions,
+    ServeState, Snapshot,
 };
 
 /// GET with bounded retry/backoff: absorbs the transient connection
@@ -28,7 +26,6 @@ fn http_get(
 
 fn fixed_snapshot() -> Snapshot {
     let r = Registry::new();
-    r.set_enabled(true);
     r.counter_add("live.jobs.placed", 42);
     r.counter_add("repair.rows_quarantined", 3);
     r.gauge_set("live.power_watts", 1234.5);
@@ -123,7 +120,6 @@ fn alerts_endpoint_renders_engine_state() {
     {
         // Drive one evaluation against a store holding the metric.
         let store = hpcpower_obs::store::WindowStore::with_capacity(16);
-        store.set_enabled(true);
         store.ingest(&fixed_snapshot(), 1);
         engine.lock().unwrap().evaluate(&store, None);
     }
@@ -189,18 +185,21 @@ fn quit_endpoint_flips_the_shutdown_flag() {
     server.stop();
 }
 
-/// The one test that owns the global sampling gate: sampler thread →
-/// global store → alert engine transitions, end to end.
+/// Sampler thread → the starting handle's store → alert engine
+/// transitions, end to end.
 #[test]
-fn global_sampler_feeds_store_and_engine() {
-    hpcpower_obs::enable();
-    hpcpower_obs::enable_sampling();
-    hpcpower_obs::counter_add("live.global.ticker", 1);
+fn sampler_feeds_its_handles_store_and_engine() {
+    let obs = hpcpower_obs::scoped(ObsConfig::METRICS | ObsConfig::SAMPLING);
+    hpcpower_obs::counter_add("live.sampler.ticker", 1);
 
     let engine = Arc::new(Mutex::new(AlertEngine::new(
-        parse_rules("seen:live.global.ticker>=1@2").unwrap(),
+        parse_rules("seen:live.sampler.ticker>=1@2").unwrap(),
     )));
-    let mut sampler = Sampler::start_global(Duration::from_millis(5), Some(Arc::clone(&engine)));
+    let mut sampler = Sampler::start(
+        Duration::from_millis(5),
+        Arc::new(hpcpower_obs::snapshot),
+        Some(Arc::clone(&engine)),
+    );
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while std::time::Instant::now() < deadline {
         if engine.lock().unwrap().status("seen").map(|s| s.state) == Some(AlertState::Firing) {
@@ -209,25 +208,24 @@ fn global_sampler_feeds_store_and_engine() {
         std::thread::sleep(Duration::from_millis(5));
     }
     sampler.stop();
-    hpcpower_obs::disable_sampling();
 
     let st = engine.lock().unwrap().status("seen").cloned().unwrap();
     assert_eq!(st.state, AlertState::Firing, "rule must fire after >= 2 samples");
     assert_eq!(st.fired_count, 1);
 
-    let window = hpcpower_obs::window_snapshot();
+    let window = obs.window_snapshot();
     assert!(window.samples >= 2, "sampler must have ticked");
-    let series = window.values("live.global.ticker").expect("series sampled");
+    let series = window.values("live.sampler.ticker").expect("series sampled");
     assert!(series.iter().all(|p| p.value >= 1.0));
     assert!(
         series.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns),
         "monotonic timestamps"
     );
-    // Uptime rides along as a derived gauge on the global snapshot.
+    // Uptime rides along as a derived gauge on the handle's snapshot.
     assert!(window.values("obs.process.uptime_seconds").is_some());
 
-    // Meta-metrics landed in the global registry.
-    let snap = hpcpower_obs::snapshot();
+    // Meta-metrics landed in the handle's registry.
+    let snap = obs.snapshot();
     assert!(snap.counter("obs.sampler.ticks").unwrap_or(0) >= 2);
     assert!(snap.counter("obs.alerts.evals").unwrap_or(0) >= 2);
     assert_eq!(snap.gauge("obs.alerts.firing"), Some(1.0));

@@ -10,10 +10,12 @@
 //! which show up as 1000x-plus ratios, not to benchmark.
 //!
 //! This file is its own test binary: nothing here (or in the harness)
-//! enables the global registry, so the disabled fast path is what runs.
+//! turns on the process handle, so the disabled fast path is what runs.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
+
+use hpcpower_obs::ObsConfig;
 
 // Route this binary's heap traffic through the profiling wrapper so the
 // disabled-gate cost below measures the real deployment configuration.
@@ -143,7 +145,7 @@ fn disabled_kernel_metrics_cost_nothing() {
 #[test]
 fn disabled_sampling_is_nearly_free() {
     assert!(
-        !hpcpower_obs::sampling_enabled(),
+        !hpcpower_obs::current().config().contains(ObsConfig::SAMPLING),
         "sampling must be off by default for this test to measure the disabled path"
     );
 
@@ -164,7 +166,7 @@ fn disabled_sampling_is_nearly_free() {
          (bound {MAX_RATIO}x); did the fast path grow a snapshot/lock/clock read?"
     );
 
-    let window = hpcpower_obs::window_snapshot();
+    let window = hpcpower_obs::current().window_snapshot();
     assert!(window.series.is_empty(), "disabled sampling must record nothing");
     assert_eq!(window.samples, 0);
     assert_eq!(window.dropped, 0);
@@ -179,7 +181,7 @@ fn disabled_alloc_profiling_is_nearly_free() {
     use std::alloc::{GlobalAlloc, Layout, System};
 
     assert!(
-        !hpcpower_obs::alloc_profiling_enabled(),
+        !hpcpower_obs::current().config().contains(ObsConfig::ALLOC),
         "allocation profiling must be off by default for this test to measure the disabled path"
     );
 
@@ -212,7 +214,7 @@ fn disabled_alloc_profiling_is_nearly_free() {
     // And with the gate off, the wrapper must have recorded nothing —
     // despite every allocation in this binary flowing through it.
     assert_eq!(hpcpower_obs::alloc::totals(), (0, 0));
-    let snap = hpcpower_obs::alloc_snapshot();
+    let snap = hpcpower_obs::alloc::snapshot();
     assert!(!snap.enabled);
     assert_eq!(snap.alloc_count, 0);
     assert_eq!(snap.peak_bytes, 0);

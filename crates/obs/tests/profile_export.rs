@@ -5,7 +5,7 @@
 //! clocks) make every expectation exact.
 
 use hpcpower_obs::timeline::{EventKind, TimelineEvent, TimelineSnapshot};
-use hpcpower_obs::{FlatProfile, ProfileGraph};
+use hpcpower_obs::{render_profile, FlatProfile, ProfileFormat, ProfileGraph};
 
 fn ev(
     kind: EventKind,
@@ -142,14 +142,14 @@ fn ring_wrap_orphans_are_counted_not_guessed() {
 #[test]
 fn folded_export_is_deterministic_and_round_trips() {
     let graph = ProfileGraph::from_timeline(&nested_timeline());
-    let folded = graph.to_folded();
+    let folded = render_profile(&graph, ProfileFormat::Folded);
     assert_eq!(folded, "outer 70\nouter;inner 30\n");
     assert_eq!(
-        graph.to_folded(),
+        render_profile(&graph, ProfileFormat::Folded),
         folded,
         "same timeline, same bytes, every time"
     );
-    let parsed = FlatProfile::from_folded(&folded).unwrap();
+    let parsed = FlatProfile::parse(&folded).unwrap();
     assert_eq!(parsed, graph.flatten(), "folded round-trips the flat view");
     assert_eq!(parsed.total_ns(), 100);
 }
@@ -163,9 +163,9 @@ fn folded_sanitizes_reserved_characters() {
         ],
         dropped: 0,
     };
-    let folded = ProfileGraph::from_timeline(&snap).to_folded();
+    let folded = render_profile(&ProfileGraph::from_timeline(&snap), ProfileFormat::Folded);
     assert_eq!(folded, "a:b_c 10\n");
-    assert!(FlatProfile::from_folded(&folded).is_ok());
+    assert!(FlatProfile::parse(&folded).is_ok());
 }
 
 #[test]
@@ -175,13 +175,13 @@ fn speedscope_export_is_deterministic_and_round_trips() {
     // is exercised too.
     let inner = graph.nodes.iter().position(|n| n.name == "inner").unwrap();
     graph.nodes[inner].alloc_bytes = 4096;
-    let doc = graph.to_speedscope();
-    assert_eq!(graph.to_speedscope(), doc, "deterministic bytes");
+    let doc = render_profile(&graph, ProfileFormat::Speedscope);
+    assert_eq!(render_profile(&graph, ProfileFormat::Speedscope), doc, "deterministic bytes");
     let v = serde_json::parse(&doc).expect("speedscope export is valid JSON");
     let top = v.as_object().unwrap();
     let profiles = serde_json::find(top, "profiles").unwrap().as_array().unwrap();
     assert_eq!(profiles.len(), 2, "wall time + allocated bytes");
-    let parsed = FlatProfile::from_speedscope(&doc).unwrap();
+    let parsed = FlatProfile::parse(&doc).unwrap();
     assert_eq!(parsed.total_ns(), 100);
     assert_eq!(parsed.total_bytes(), 4096);
     let inner_entry = parsed
@@ -205,8 +205,8 @@ fn svg_export_is_wellformed_and_escapes_names() {
         dropped: 0,
     };
     let graph = ProfileGraph::from_timeline(&snap);
-    let svg = graph.to_svg();
-    assert_eq!(graph.to_svg(), svg, "deterministic bytes");
+    let svg = render_profile(&graph, ProfileFormat::Svg);
+    assert_eq!(render_profile(&graph, ProfileFormat::Svg), svg, "deterministic bytes");
     assert!(svg.starts_with("<svg "));
     assert!(svg.trim_end().ends_with("</svg>"));
     assert!(
@@ -229,10 +229,10 @@ fn empty_timeline_produces_empty_but_valid_exports() {
         dropped: 0,
     });
     assert_eq!(graph.nodes.len(), 0);
-    assert_eq!(graph.to_folded(), "");
-    let svg = graph.to_svg();
+    assert_eq!(render_profile(&graph, ProfileFormat::Folded), "");
+    let svg = render_profile(&graph, ProfileFormat::Svg);
     assert!(svg.starts_with("<svg ") && svg.trim_end().ends_with("</svg>"));
-    let parsed = FlatProfile::from_speedscope(&graph.to_speedscope()).unwrap();
+    let parsed = FlatProfile::parse(&render_profile(&graph, ProfileFormat::Speedscope)).unwrap();
     assert_eq!(parsed.entries.len(), 0);
 }
 
@@ -277,5 +277,5 @@ fn alloc_attribution_lands_on_matching_paths() {
     // all land in the unattributed bucket — nothing silently dropped.
     assert_eq!(graph.unattributed_alloc_bytes, 10 + 100 + 100);
     assert_eq!(graph.unattributed_alloc_count, 1 + 2 + 1);
-    assert_eq!(graph.attributed_alloc_bytes(), 900);
+    assert_eq!(graph.nodes.iter().map(|n| n.alloc_bytes).sum::<u64>(), 900);
 }

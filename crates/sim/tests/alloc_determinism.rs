@@ -4,8 +4,11 @@
 //! This is the strongest form of the non-invasiveness contract — the
 //! wrapper sits under literally every heap allocation the kernel makes.
 //!
-//! One test function: the gates and counters are process-global.
+//! One test function: allocation attribution reads the process
+//! handle's `ALLOC` bit (there is one global allocator), so this binary
+//! configures the process handle.
 
+use hpcpower_obs::ObsConfig;
 use hpcpower_sim::{simulate, SimConfig};
 
 #[global_allocator]
@@ -22,9 +25,8 @@ fn alloc_profiling_does_not_change_dataset_bytes() {
     // Baseline: everything off (the default).
     let baseline = dataset_json(1);
 
-    hpcpower_obs::enable();
-    hpcpower_obs::enable_timeline();
-    hpcpower_obs::enable_alloc_profiling();
+    hpcpower_obs::current()
+        .set_config(ObsConfig::METRICS | ObsConfig::TIMELINE | ObsConfig::ALLOC);
     for threads in [1, 4] {
         assert_eq!(
             baseline,
@@ -34,7 +36,7 @@ fn alloc_profiling_does_not_change_dataset_bytes() {
     }
 
     // The profiler actually saw the kernel's traffic...
-    let alloc = hpcpower_obs::alloc_snapshot();
+    let alloc = hpcpower_obs::alloc::snapshot();
     assert!(alloc.alloc_count > 0, "simulate allocates; the gate was on");
     assert!(alloc.alloc_bytes > 0);
 

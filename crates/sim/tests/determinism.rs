@@ -6,6 +6,7 @@
 //! index), the monitor folds fixed-size batches in job order, and the
 //! parallel map preserves input order.
 
+use hpcpower_obs::ObsConfig;
 use hpcpower_sim::{replay_swf, simulate, FaultConfig, ReplayConfig, SimConfig};
 use hpcpower_trace::swf::SwfJob;
 
@@ -63,14 +64,14 @@ fn simulate_matrix_threads_by_faults_by_seed_is_byte_identical() {
 /// datasets at any thread count, while the registry fills with nonzero
 /// pipeline measurements and the timeline with span events.
 ///
-/// The baseline runs before `enable()` and the test never calls
-/// `reset()`/`disable()`, so it composes safely with the other tests in
-/// this binary (which don't read the registry).
+/// The telemetry runs under a handle scoped to this test: this thread
+/// and the rayon workers it starts record into it, while the sibling
+/// tests' concurrent `simulate` runs stay on the (disabled) process
+/// handle. So the exact span count holds at any core count.
 #[test]
 fn telemetry_does_not_change_dataset_bytes() {
     let baseline = dataset_json(1);
-    hpcpower_obs::enable();
-    hpcpower_obs::enable_timeline();
+    let obs = hpcpower_obs::scoped(ObsConfig::METRICS | ObsConfig::TIMELINE);
     for threads in [1, 4] {
         assert_eq!(
             baseline,
@@ -78,12 +79,12 @@ fn telemetry_does_not_change_dataset_bytes() {
             "telemetry changed dataset bytes at {threads} threads"
         );
     }
-    let timeline = hpcpower_obs::timeline_snapshot();
+    let timeline = obs.timeline_snapshot();
     assert!(
         !timeline.events.is_empty(),
         "timeline must have recorded span events"
     );
-    let snap = hpcpower_obs::snapshot();
+    let snap = obs.snapshot();
     let sim_span = snap.span("simulate").expect("simulate span recorded");
     assert!(sim_span.total_ns > 0, "simulate span must have nonzero time");
     assert_eq!(sim_span.count, 2, "one simulate span per enabled run");
@@ -108,6 +109,43 @@ fn telemetry_does_not_change_dataset_bytes() {
     let wait = snap.histogram("sim.sched.wait_min").expect("wait-time histogram");
     assert!(wait.count > 0, "every placed job records a wait time");
     assert!(wait.p99 >= wait.p50, "wait quantiles are ordered");
+}
+
+/// Two threads, each with its own scoped handle, simulate concurrently
+/// (one run and two runs, both with parallel workers): each handle sees
+/// only its own `simulate` spans and monitor samples, plus the kernel's
+/// scratch-arena histogram that only the rayon workers record.
+#[test]
+fn concurrent_scoped_handles_see_only_their_own_runs() {
+    let per_handle: Vec<(u64, u64)> = std::thread::scope(|s| {
+        let handles: Vec<_> = [1, 2]
+            .map(|runs| {
+                s.spawn(move || {
+                    let obs = hpcpower_obs::scoped(ObsConfig::METRICS);
+                    for _ in 0..runs {
+                        dataset_json(2);
+                    }
+                    let snap = obs.snapshot();
+                    assert!(
+                        snap.histogram("sim.kernel.scratch_bytes").is_some_and(|h| h.count > 0),
+                        "worker-recorded kernel metrics land in the caller's handle"
+                    );
+                    let spans = snap.span("simulate").map_or(0, |s| s.count);
+                    (spans, snap.counter("sim.monitor.samples").unwrap_or(0))
+                })
+            })
+            .into_iter()
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(per_handle[0].0, 1, "one-run handle's simulate spans");
+    assert_eq!(per_handle[1].0, 2, "two-run handle's simulate spans");
+    assert!(per_handle[0].1 > 0);
+    assert_eq!(
+        per_handle[1].1,
+        2 * per_handle[0].1,
+        "monitor samples recorded on workers land in their caller's handle"
+    );
 }
 
 #[test]

@@ -3,12 +3,13 @@
 //! runs, dataset bytes stay identical at any thread count, and the new
 //! power-domain gauges land in the registry.
 //!
-//! Own test binary: the sampler and the sampling gate are process-wide,
-//! and `determinism.rs` asserts exact span counts that a second enabled
-//! run would break.
+//! The sampler thread carries the test's scoped handle, so the window
+//! store it feeds belongs to this test alone.
 
+use std::sync::Arc;
 use std::time::Duration;
 
+use hpcpower_obs::ObsConfig;
 use hpcpower_sim::{simulate, SimConfig};
 
 fn dataset_json(threads: usize) -> String {
@@ -23,9 +24,12 @@ fn sampler_and_window_store_do_not_change_dataset_bytes() {
     // Baseline before anything is enabled: the disabled fast path.
     let baseline = dataset_json(1);
 
-    hpcpower_obs::enable();
-    hpcpower_obs::enable_sampling();
-    let mut sampler = hpcpower_obs::Sampler::start_global(Duration::from_millis(5), None);
+    let obs = hpcpower_obs::scoped(ObsConfig::METRICS | ObsConfig::SAMPLING);
+    let mut sampler = hpcpower_obs::Sampler::start(
+        Duration::from_millis(5),
+        Arc::new(hpcpower_obs::snapshot),
+        None,
+    );
     for threads in [1, 4] {
         assert_eq!(
             baseline,
@@ -37,7 +41,7 @@ fn sampler_and_window_store_do_not_change_dataset_bytes() {
     sampler.stop();
 
     // The window store sampled the run.
-    let window = hpcpower_obs::window_snapshot();
+    let window = obs.window_snapshot();
     assert!(window.samples >= 1, "sampler must have ticked");
     assert!(
         window.values("sim.jobs.placed").is_some(),
@@ -46,7 +50,7 @@ fn sampler_and_window_store_do_not_change_dataset_bytes() {
     assert!(window.values("obs.process.uptime_seconds").is_some());
 
     // The power-domain gauges landed, and they are coherent.
-    let snap = hpcpower_obs::snapshot();
+    let snap = obs.snapshot();
     let power = snap.gauge("sim.cluster.power_watts").expect("instantaneous draw gauge");
     let peak = snap.gauge("sim.cluster.peak_power_watts").expect("peak draw gauge");
     let busy = snap.gauge("sim.cluster.nodes_busy").expect("busy-nodes gauge");

@@ -9,6 +9,15 @@ cd "$(dirname "$0")/.."
 # ./target/release/hpcpower for the smoke runs below.
 cargo build --release --workspace
 cargo test -q --workspace
+# Race the telemetry tests: they assert exact span counts and event
+# sets, which holds only if every test's telemetry stays in its own
+# scoped handle. Run them repeatedly with more test threads than cores,
+# so a test that passes only when run serially cannot pass the gate.
+for _ in 1 2 3; do
+    cargo test -q -p hpcpower-sim --test determinism -- --test-threads 4
+    cargo test -q -p hpcpower --test report_determinism -- --test-threads 4
+    cargo test -q -p hpcpower-obs --test exporters -- --test-threads 4
+done
 cargo clippy --workspace --all-targets -- -D warnings \
     -D clippy::needless_collect -D clippy::redundant_clone
 # The ingest engine is supposed to be zero-copy on the happy path: deny

@@ -11,6 +11,11 @@
 //! * `ThreadPoolBuilder` → `ThreadPool::install` (a thread-local
 //!   thread-count override) and `build_global`.
 //!
+//! Workers inherit the caller's context: the pool size (so nested
+//! parallel regions stay inside the caller's pool) and the caller's
+//! `hpcpower_obs` handle (so metrics and spans recorded on a worker land
+//! where the caller's would).
+//!
 //! Semantics deliberately mirror the properties the workspace's
 //! determinism tests rely on: `map`/`filter_map` preserve input order
 //! regardless of thread count, and `sum` reduces the ordered results
@@ -140,7 +145,8 @@ where
     INIT: Fn() -> S + Sync,
     F: Fn(&mut S, T) -> U + Sync,
 {
-    let threads = current_num_threads().min(items.len());
+    let pool = current_num_threads();
+    let threads = pool.min(items.len());
     if threads <= 1 {
         let mut state = init();
         return items.into_iter().map(|item| f(&mut state, item)).collect();
@@ -157,11 +163,14 @@ where
         chunks.push(iter.by_ref().take(size).collect());
     }
     let mut results: Vec<Vec<U>> = Vec::with_capacity(threads);
+    let obs = &hpcpower_obs::current();
     std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|chunk| {
                 scope.spawn(move || {
+                    POOL_THREADS.with(|c| c.set(pool));
+                    let _obs = obs.install();
                     let mut state = init();
                     chunk
                         .into_iter()
@@ -341,6 +350,34 @@ mod tests {
             inner.install(|| assert_eq!(current_num_threads(), 2));
             assert_eq!(current_num_threads(), 3);
         });
+    }
+
+    #[test]
+    fn workers_inherit_the_pool_size() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let seen: Vec<usize> =
+            pool.install(|| (0..30u32).into_par_iter().map(|_| current_num_threads()).collect());
+        assert!(seen.iter().all(|&n| n == 3), "workers saw pool sizes {seen:?}");
+    }
+
+    #[test]
+    fn workers_record_into_the_callers_obs_handle() {
+        use hpcpower_obs::ObsConfig;
+        let obs = hpcpower_obs::scoped(ObsConfig::METRICS);
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let workers: std::collections::BTreeSet<String> = pool.install(|| {
+            (0..40u32)
+                .into_par_iter()
+                .map(|_| {
+                    hpcpower_obs::counter_add("rayon.test.items", 1);
+                    format!("{:?}", std::thread::current().id())
+                })
+                .collect()
+        });
+        assert!(workers.len() > 1, "the items ran on several workers");
+        assert_eq!(obs.snapshot().counter("rayon.test.items"), Some(40));
+        drop(obs);
+        assert_eq!(hpcpower_obs::snapshot().counter("rayon.test.items"), None);
     }
 
     #[test]
